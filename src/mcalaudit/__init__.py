@@ -8,6 +8,7 @@ from .core import (
     Rational,
     Subgroup,
     SubgroupCollection,
+    WitnessError,
     conditional_l1,
     group_mass,
     instance_from_dict,

@@ -12,6 +12,7 @@ enumeration budget used by the multicalibration join.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -24,8 +25,8 @@ import click
 
 from .core import (
     Instance,
-    PredictorVec,
     Subgroup,
+    WitnessError,
     dump_instance,
     instance_from_dict,
     l1_distance,
@@ -33,7 +34,7 @@ from .core import (
     to_decimal,
     validate,
 )
-from .distances import dce, dcma, dimc, dmc, generated_partition, local_min_probe, wdmc
+from .distances import DistanceResult, dce, dcma, dimc, dmc, generated_partition, local_min_probe, wdmc
 from .enumeration import (
     calibrated_set,
     is_calibrated,
@@ -144,19 +145,23 @@ def main():
 _ALL_METRICS = ("wdmc", "dmc", "dimc", "wdma", "dma", "dcma")
 
 
-def _verify_witness(metric: str, witness: PredictorVec, inst: Instance) -> bool:
-    if metric in ("dmc",):
-        return is_multicalibrated(witness, inst)
-    if metric == "dimc":
-        cells = generated_partition(inst.groups, inst.n).cells
-        return all(is_calibrated(witness, inst, c) for c in cells)
-    if metric == "dma":
-        return is_multiaccurate(witness, inst)
-    if metric == "dcma":
-        return is_calibrated(witness, inst, Subgroup(range(inst.n))) and is_multiaccurate(
-            witness, inst
-        )
-    return True
+def _certify(metric: str, r: DistanceResult, inst: Instance) -> None:
+    """Raise WitnessError unless the witness lies in the metric's target set
+    and at the reported l1 distance from the audited predictor."""
+    w = r.witness
+    if metric == "dmc":
+        member = is_multicalibrated(w, inst)
+    elif metric == "dimc":
+        member = all(is_calibrated(w, inst, c) for c in generated_partition(inst.groups, inst.n).cells)
+    elif metric == "dma":
+        member = is_multiaccurate(w, inst)
+    else:  # dcma
+        member = is_calibrated(w, inst, Subgroup(range(inst.n))) and is_multiaccurate(w, inst)
+    if not member:
+        raise WitnessError(f"{metric} witness is not in the metric's target set")
+    distance = l1_distance(inst.audited, w, inst.marginal)
+    if distance != r.value:
+        raise WitnessError(f"{metric} value {r.value} differs from its witness's l1 distance {distance}")
 
 
 @main.command("audit")
@@ -194,21 +199,16 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
             elif m == "wdma":
                 value, group = wdma(inst)
                 entry = {"value": _rat_json(value), "witness_group": list(group.members)}
-            elif m == "dmc":
-                r = dmc(inst, budget=budget)
-                assert _verify_witness(m, r.witness, inst)
-                entry = {"value": _rat_json(r.value), "witness": [_rat_json(v) for v in r.witness.values]}
-            elif m == "dimc":
-                r = dimc(inst)
-                assert _verify_witness(m, r.witness, inst)
-                entry = {"value": _rat_json(r.value), "witness": [_rat_json(v) for v in r.witness.values]}
-            elif m == "dma":
-                r = dma(inst)
-                assert _verify_witness(m, r.witness, inst)
-                entry = {"value": _rat_json(r.value), "witness": [_rat_json(v) for v in r.witness.values]}
-            else:  # dcma
-                r = dcma(inst)
-                assert _verify_witness(m, r.witness, inst)
+            else:
+                if m == "dmc":
+                    r = dmc(inst, budget=budget)
+                elif m == "dimc":
+                    r = dimc(inst)
+                elif m == "dma":
+                    r = dma(inst)
+                else:  # dcma
+                    r = dcma(inst)
+                _certify(m, r, inst)
                 entry = {"value": _rat_json(r.value), "witness": [_rat_json(v) for v in r.witness.values]}
         except ValueError as e:
             if _is_budget_error(e):
@@ -349,12 +349,13 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
         )
 
     if as_csv:
-        writer = csv.writer(open(output, "w", newline="") if output else sys.stdout)
-        writer.writerow(["seed", "point", "lower", "upper", "samples_used"])
-        for r in runs:
-            writer.writerow(
-                [r["seed"], r["point"]["decimal"], r["lower"]["decimal"], r["upper"], r["samples_used"]]
-            )
+        with open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["seed", "point", "lower", "upper", "samples_used"])
+            for r in runs:
+                writer.writerow(
+                    [r["seed"], r["point"]["decimal"], r["lower"]["decimal"], r["upper"], r["samples_used"]]
+                )
     else:
         _emit({"metric": metric, "runs": runs}, output)
     sys.exit(EXIT_OK)

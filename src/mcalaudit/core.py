@@ -29,6 +29,7 @@ __all__ = [
     "SubgroupCollection",
     "Instance",
     "ValidationReport",
+    "WitnessError",
     "l1_distance",
     "conditional_l1",
     "group_mass",
@@ -246,6 +247,11 @@ def conditional_l1(f: PredictorVec, g: PredictorVec, m: Marginal, S: Subgroup) -
     mass = group_mass(m, S)
     total = sum((m[i] * abs(f[i] - g[i]) for i in S.members), Fraction(0))
     return total / mass
+
+
+class WitnessError(RuntimeError):
+    """A computed witness failed its independent certification: it is not
+    in the metric's target set, or not at the reported distance."""
 
 
 @dataclass(frozen=True)

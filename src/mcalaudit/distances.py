@@ -11,6 +11,13 @@ distance to calibration over the intersection closure of the groups, and
 is the continuized variant of dmc (the limit of suprema of dmc over
 shrinking neighborhoods of the ground truth); the limit definition is not
 computable directly, the decomposition is.
+
+Cost: dce (and so wdmc per group and dimc per cell) is a min-cost set
+partition of the subgroup, solved by a subset DP over the per-class tables
+of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
+listing the calibrated set.  dcma scores the members of the global
+calibrated set in integers.  Both keep the refusal of k above
+PARTITION_CEILING unless overridden.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -31,6 +39,7 @@ from .core import (
     l1_distance,
 )
 from .enumeration import (
+    _ClassTables,
     calibrated_set,
     complete_predictor,
     is_calibrated,
@@ -68,26 +77,82 @@ class DistanceResult:
 def dce(inst: Instance, S: Subgroup, override: bool = False) -> DistanceResult:
     """Distance to calibration of the audited predictor conditioned on S.
 
-    Minimizes the conditional l1 distance over cal(D|S).  The witness is a
-    global vector agreeing with the audited predictor off S.  Ties broken
-    by the lexicographically smallest restricted value vector.
+    Minimizes the conditional l1 distance over cal(D|S), as a min-cost set
+    partition of S: class C costs sum_{x in C} m(x)|f(x) - mean(C)|, the
+    cost of giving C its class mean.  A subset DP over the class tables
+    finds the cheapest partition in O(3^k) integer steps without listing
+    cal(D|S).  The witness is a global vector agreeing with the audited
+    predictor off S.  Ties are broken by the lexicographically smallest
+    restricted value vector, found by a search along the optimal branches.
     """
+    t = _ClassTables(inst, S, override)
     f = inst.audited
-    cs = calibrated_set(inst, S, override=override)
-    best: Optional[Fraction] = None
-    best_vals = None
-    f_restricted = f.restrict(S)
-    mass = group_mass(inst.marginal, S)
-    for cand in cs:
-        d = sum(
-            (inst.marginal[x] * abs(f_restricted[j] - cand[j]) for j, x in enumerate(S.members)),
-            Fraction(0),
-        ) / mass
-        if best is None or d < best or (d == best and cand < best_vals):
-            best = d
-            best_vals = cand
-    witness = f.with_values({x: best_vals[j] for j, x in enumerate(S.members)})
-    return DistanceResult(value=best, witness=witness)
+    fs = [f[x] for x in S.members]
+    full = (1 << t.k) - 1
+    # With E = lcm of f's denominators on S, class C costs
+    #   sum_{x in C} M(x) (E/b(x)) |a(x) mass[C] - b(x) num[C]| / (scale E mass[C])
+    # for f(x) = a(x)/b(x) and M(x) = scale m(x); over the common
+    # denominator scale E L, L = lcm of all mass[C], every cost is an integer.
+    E = lcm(*(v.denominator for v in fs))
+    weight = [t.mass[1 << j] * (E // v.denominator) for j, v in enumerate(fs)]
+    L = lcm(*t.mass[1:])
+    cost = [0] * (full + 1)
+    for C in range(1, full + 1):
+        mc, nc = t.mass[C], t.num[C]
+        total = 0
+        bits = C
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            j = low.bit_length() - 1
+            total += weight[j] * abs(fs[j].numerator * mc - fs[j].denominator * nc)
+        cost[C] = total * (L // mc)
+
+    # best[R]: the cheapest partition of R; its class holding R's lowest
+    # member is that member plus some subset of the rest.
+    best = [0] * (full + 1)
+    for R in range(1, full + 1):
+        low = R & -R
+        rest = R ^ low
+        b = cost[R]
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            c = cost[sub | low] + best[rest ^ sub]
+            if c < b:
+                b = c
+        best[R] = b
+
+    # The smallest key among optimal partitions: follow only classes with
+    # cost[C] + best[R ^ C] == best[R], cheapest key first, and prune any
+    # branch whose partial key already reaches the best complete one.
+    code = t.code
+    best_key: list[Optional[int]] = [None]
+
+    def rec(R: int, key: int):
+        if best_key[0] is not None and key >= best_key[0]:
+            return
+        if not R:
+            best_key[0] = key
+            return
+        low = R & -R
+        rest = R ^ low
+        options = []
+        sub = rest
+        while True:
+            C = sub | low
+            if cost[C] + best[rest ^ sub] == best[R]:
+                options.append((key + code[C], rest ^ sub))
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        for next_key, left in sorted(options):
+            rec(left, next_key)
+
+    rec(full, 0)
+    values = t.values(best_key[0])
+    witness = f.with_values({x: values[j] for j, x in enumerate(S.members)})
+    return DistanceResult(value=Fraction(best[full], E * L * t.mass[full]), witness=witness)
 
 
 def wdmc(inst: Instance, override: bool = False) -> tuple[Fraction, Subgroup]:
@@ -188,23 +253,36 @@ def dimc(inst: Instance, override: bool = False) -> DistanceResult:
 
 
 def dcma(inst: Instance, override: bool = False) -> DistanceResult:
-    """Distance to the set of globally calibrated, multiaccurate predictors."""
-    from .enumeration import is_multiaccurate
+    """Distance to the set of globally calibrated, multiaccurate predictors.
 
-    everything = Subgroup(range(inst.n))
-    f = inst.audited
-    best: Optional[Fraction] = None
-    best_witness = None
-    for cand in calibrated_set(inst, everything, override=override):
-        g = PredictorVec(cand)
-        if not is_multiaccurate(g, inst):
+    Scores every member of cal(D) in integers: with the marginal's products
+    over one common denominator `scale` and the candidate values over
+    another, Q, each group's bias and the l1 distance to f are integer
+    sums.  cal(D) comes sorted, so the first cheapest member found is the
+    lexicographically smallest.
+    """
+    n = inst.n
+    m, p, f = inst.marginal, inst.ground_truth, inst.audited
+    cs = calibrated_set(inst, Subgroup(range(n)), override=override)
+    scale = lcm(*(q.denominator for x in range(n) for q in (m[x], m[x] * p[x], m[x] * f[x])))
+    Q = lcm(*{v.denominator for cand in cs for v in cand})
+    M = [(m[x] * scale).numerator for x in range(n)]
+    fq = [(m[x] * f[x] * scale).numerator * Q for x in range(n)]
+    targets = [
+        (S.members, sum((m[x] * p[x] * scale).numerator for x in S.members) * Q) for S in inst.groups
+    ]
+    best: Optional[int] = None
+    best_cand = None
+    for cand in cs:
+        mv = [M[x] * v.numerator * (Q // v.denominator) for x, v in enumerate(cand)]
+        if any(sum(mv[x] for x in members) != target for members, target in targets):
             continue
-        d = l1_distance(f, g, inst.marginal)
-        if best is None or d < best or (d == best and g.values < best_witness.values):
+        d = sum(abs(fq[x] - mv[x]) for x in range(n))
+        if best is None or d < best:
             best = d
-            best_witness = g
+            best_cand = cand
     # p* is always calibrated and multiaccurate, so the set is non-empty.
-    return DistanceResult(value=best, witness=best_witness)
+    return DistanceResult(value=Fraction(best, scale * Q), witness=PredictorVec(best_cand))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,20 @@
 The set of perfectly calibrated predictors on a finite domain is finite:
 every calibrated predictor is constant on the classes of some set partition
 of the domain, with each class value equal to the class-conditional mean of
-the ground truth.  Enumerating set partitions (Bell(n) of them) therefore
-enumerates every candidate, and an exact membership check filters the rest.
+the ground truth.  Conversely every such class-mean predictor is
+calibrated, because classes that share a mean merge into one level set
+whose weighted mean is that same value.  So the calibrated set on a
+subgroup of k points is the set of distinct class-mean vectors over its
+Bell(k) set partitions.
+
+Both engines work on per-class tables (`_ClassTables`): a class is a
+bitmask over the subgroup's member positions, and its mass and mean are
+computed once per non-empty mask, each mask extending the mask without its
+lowest bit (two integer additions and one exact division per mask).
+`calibrated_set` streams partitions as tuples of class masks and
+deduplicates candidates as integer keys built from the ranks of the class
+means; `distances.dce` runs an O(3^k) subset DP over the same tables.
+Both refuse k > PARTITION_CEILING unless overridden, as `partitions` does.
 
 Multicalibrated predictors are assembled by joining per-group calibrated
 sets under agreement on overlaps.
@@ -15,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterator, Optional
 
 from .core import Instance, PredictorVec, Subgroup, group_mass
@@ -80,13 +93,7 @@ def bell_number(k: int) -> int:
     return row[-1]
 
 
-def partitions(k: int, override: bool = False) -> Iterator[SetPartition]:
-    """Yield every set partition of {0..k-1} exactly once.
-
-    Enumerates restricted growth strings: position i gets a class label in
-    {0..max(labels[:i])+1}.  Canonical order, Bell(k) partitions in total.
-    Refuses k > PARTITION_CEILING unless override is set.
-    """
+def _check_ceiling(k: int, override: bool) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > PARTITION_CEILING and not override:
@@ -96,6 +103,15 @@ def partitions(k: int, override: bool = False) -> Iterator[SetPartition]:
             "pass override=True to proceed anyway"
         )
 
+
+def partitions(k: int, override: bool = False) -> Iterator[SetPartition]:
+    """Yield every set partition of {0..k-1} exactly once.
+
+    Enumerates restricted growth strings: position i gets a class label in
+    {0..max(labels[:i])+1}.  Canonical order, Bell(k) partitions in total.
+    Refuses k > PARTITION_CEILING unless override is set.
+    """
+    _check_ceiling(k, override)
     labels = [0] * k
 
     def emit() -> SetPartition:
@@ -150,32 +166,98 @@ class CalibratedSet:
         return iter(self.predictors)
 
 
+class _ClassTables:
+    """Per-class figures for every non-empty class of a subgroup's k members.
+
+    A class C is a bitmask over member positions: bit j stands for
+    S.members[j].  With `scale` a common denominator of m(x) and
+    m(x)p*(x) on S, `mass[C]` and `num[C]` are the integers scale*m(C) and
+    scale*sum_{x in C} m(x)p*(x), so the class mean is num[C]/mass[C].
+
+    `means` lists the distinct class means in ascending order.  A vector of
+    class means over the k positions is encoded as one integer key with a
+    `width`-bit digit per position, position 0 most significant, holding
+    the rank of its value in `means`; `code[C]` is class C's share of a key.
+    A partition's key is the sum of its classes' codes, and keys compare as
+    the value vectors do, lexicographically.
+    """
+
+    def __init__(self, inst: Instance, S: Subgroup, override: bool):
+        members = S.members
+        k = len(members)
+        _check_ceiling(k, override)  # before any allocation
+        m = inst.marginal
+        p = inst.ground_truth
+        ms = [m[x] for x in members]
+        ws = [m[x] * p[x] for x in members]
+        scale = lcm(*(q.denominator for q in ms + ws))
+        M = [(q * scale).numerator for q in ms]
+        N = [(q * scale).numerator for q in ws]
+        size = 1 << k
+        mass = [0] * size
+        num = [0] * size
+        mean: list[Fraction] = [Fraction(0)] * size
+        for C in range(1, size):
+            low = C & -C
+            j = low.bit_length() - 1
+            rest = C ^ low
+            mass[C] = mass[rest] + M[j]
+            num[C] = num[rest] + N[j]
+            mean[C] = Fraction(num[C], mass[C])
+        means = sorted(set(mean[1:]))
+        rank = {v: r for r, v in enumerate(means)}
+        width = max(1, (len(means) - 1).bit_length())
+        # spread[C] has a 1 in the digit of every position in C
+        spread = [0] * size
+        code = [0] * size
+        for C in range(1, size):
+            low = C & -C
+            spread[C] = spread[C ^ low] + (1 << width * (k - low.bit_length()))
+            code[C] = rank[mean[C]] * spread[C]
+        self.k = k
+        self.mass = mass
+        self.num = num
+        self.means = means
+        self.width = width
+        self.code = code
+
+    def values(self, key: int) -> tuple[Fraction, ...]:
+        """The value vector, in member order, that `key` encodes."""
+        w, k, means = self.width, self.k, self.means
+        digit = (1 << w) - 1
+        return tuple(means[(key >> w * (k - 1 - j)) & digit] for j in range(k))
+
+
 def calibrated_set(inst: Instance, S: Subgroup, override: bool = False) -> CalibratedSet:
     """Enumerate cal(D|S) exactly.
 
-    For each partition of S, the candidate assigns every class its
-    class-conditional mean of the ground truth; the candidate survives iff
-    it passes is_calibrated (classes sharing a mean merge into one level
-    set, which the final check revalidates). Deduplicated.
+    Streams every partition of S as class masks: the lowest remaining
+    member joins each subset of the other remaining members in turn.  Each
+    partition's candidate assigns every class its class-conditional mean of
+    the ground truth, and every such candidate is calibrated (see the
+    module docstring), so the set is the distinct candidates.  They are
+    deduplicated as integer keys and decoded once, in sorted order.
     """
-    members = S.members
-    m = inst.marginal
-    p = inst.ground_truth
-    found: set[tuple[Fraction, ...]] = set()
-    for part in partitions(len(members), override=override):
-        values: list[Optional[Fraction]] = [None] * len(members)
-        for cls in part.classes:
-            mass = sum((m[members[j]] for j in cls), Fraction(0))
-            mean = sum((m[members[j]] * p[members[j]] for j in cls), Fraction(0)) / mass
-            for j in cls:
-                values[j] = mean
-        cand = tuple(values)
-        if cand in found:
-            continue
-        g = inst.audited.with_values({members[j]: cand[j] for j in range(len(members))})
-        if is_calibrated(g, inst, S):
-            found.add(cand)
-    return CalibratedSet(tuple(sorted(found)), S)
+    t = _ClassTables(inst, S, override)
+    code = t.code
+    found: set[int] = set()
+
+    def rec(rest: int, key: int):
+        low = rest & -rest
+        others = rest ^ low
+        sub = others
+        while True:
+            left = others ^ sub
+            if left:
+                rec(left, key + code[sub | low])
+            else:
+                found.add(key + code[sub | low])
+            if not sub:
+                return
+            sub = (sub - 1) & others
+
+    rec((1 << t.k) - 1, 0)
+    return CalibratedSet(tuple(t.values(key) for key in sorted(found)), S)
 
 
 def multicalibrated_set(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Instance, PredictorVec, Subgroup, group_mass, rat
+from .core import Instance, PredictorVec, Subgroup, WitnessError, group_mass, rat
 from .enumeration import is_multiaccurate
 
 __all__ = [
@@ -338,7 +338,8 @@ def dma(inst: Instance):
     if sol.status != "optimal":  # pragma: no cover - g = p* is always feasible
         raise RuntimeError(f"distance LP ended with status {sol.status}")
     witness = PredictorVec(sol.assignment[: inst.n])
-    assert is_multiaccurate(witness, inst)
+    if not is_multiaccurate(witness, inst):
+        raise WitnessError("dma witness is not multiaccurate")
     return DistanceResult(value=sol.optimum, witness=witness)
 
 

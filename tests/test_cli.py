@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -172,3 +173,80 @@ def test_bad_budget_env(tmp_path, monkeypatch):
     p.write_text(_tp_json("0"))
     r = _run(["audit", str(p), "--metrics", "dmc"])
     assert r.exit_code != 0
+
+
+def test_estimate_csv_output_file_is_complete(tmp_path):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    out = tmp_path / "runs.csv"
+    r = _run(
+        ["estimate", str(p), "--metric", "dce", "--group", "1", "--eps", "1/10", "--delta", "1/10",
+         "--seed", "2", "--trials", "3", "--csv", "-o", str(out)]
+    )
+    assert r.exit_code == 0, r.output
+    lines = out.read_text().splitlines()
+    assert lines[0] == "seed,point,lower,upper,samples_used"
+    assert [line.split(",")[0] for line in lines[1:]] == ["2", "3", "4"]
+
+
+def _audit_with_patched_dimc(tmp_path, monkeypatch, fake):
+    import mcalaudit.cli
+
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    real = mcalaudit.cli.dimc
+    monkeypatch.setattr(mcalaudit.cli, "dimc", lambda inst: fake(inst, real(inst)))
+    return _run(["audit", str(p), "--metrics", "dimc"])
+
+
+def test_audit_certifies_the_reported_value(tmp_path, monkeypatch):
+    from mcalaudit import DistanceResult, WitnessError
+
+    r = _audit_with_patched_dimc(
+        tmp_path, monkeypatch, lambda inst, res: DistanceResult(res.value + Fraction(1, 100), res.witness)
+    )
+    assert isinstance(r.exception, WitnessError)
+    assert "l1 distance" in str(r.exception)
+
+
+def test_audit_certifies_witness_membership(tmp_path, monkeypatch):
+    from mcalaudit import DistanceResult, WitnessError
+
+    # the audited predictor is at distance 0 from itself but not calibrated
+    r = _audit_with_patched_dimc(tmp_path, monkeypatch, lambda inst, res: DistanceResult(Fraction(0), inst.audited))
+    assert isinstance(r.exception, WitnessError)
+    assert "target set" in str(r.exception)
+
+
+def test_certification_survives_optimized_mode(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import mcalaudit.cli as cli\n"
+        "from mcalaudit import DistanceResult\n"
+        "real = cli.dimc\n"
+        "cli.dimc = lambda inst: DistanceResult(real(inst).value + Fraction(1, 100), real(inst).witness)\n"
+        f"cli.main(['audit', {str(p)!r}, '--metrics', 'dimc'])\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60
+    )
+    assert proc.returncode != 0
+    assert "WitnessError" in proc.stderr
+
+
+def test_enumerate_cal_refuses_above_the_partition_ceiling(tmp_path):
+    n = 13
+    inst = {"n": n, "marginal": [f"1/{n}"] * n, "p_star": ["1/2"] * n, "f": ["0"] * n, "groups": [list(range(n))]}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(inst))
+    r = _run(["enumerate", str(p), "--set", "cal", "--group", "0"])
+    assert r.exit_code == 3
+    assert "partition ceiling" in r.output

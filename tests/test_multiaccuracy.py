@@ -214,3 +214,12 @@ def test_dma_problem_shape():
     assert len(p.objective) == 2 * n
     assert len(p.constraints) == len(inst.groups) + 2 * n
     assert all(rel == "=" for _, rel, _ in p.constraints[: len(inst.groups)])
+
+
+def test_dma_raises_when_the_witness_fails_certification(monkeypatch):
+    import mcalaudit.multiaccuracy
+    from mcalaudit import WitnessError
+
+    monkeypatch.setattr(mcalaudit.multiaccuracy, "is_multiaccurate", lambda f, inst: False)
+    with pytest.raises(WitnessError):
+        dma(gen_three_point(Fraction(1, 10)))
