@@ -65,6 +65,13 @@ EXIT_BUDGET = 3
 DEFAULT_BUDGET = 10_000_000
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout or sys.stderr.  Without an
+    explicit file, click caches a wrapper per stream that keeps the stream
+    alive, so every stdout swapped in by an in-process caller would leak."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _budget() -> int:
     raw = os.environ.get("MCAL_AUDIT_BUDGET")
     if raw is None:
@@ -96,12 +103,12 @@ def _load(path: str) -> Instance:
                 data = json.load(fh)
         inst = instance_from_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        click.echo(f"error: cannot read instance: {e}", err=True)
+        _echo(f"error: cannot read instance: {e}", err=True)
         sys.exit(EXIT_INPUT)
     report = validate(inst)
     if not report.valid:
         for v in report.violations:
-            click.echo(f"error: invalid instance: {v}", err=True)
+            _echo(f"error: invalid instance: {v}", err=True)
         sys.exit(EXIT_INPUT)
     return inst
 
@@ -112,20 +119,20 @@ def _emit(payload: dict, output: Optional[str]):
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        _echo(text)
 
 
 def _parse_rat(value: str, name: str) -> Fraction:
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as e:
-        click.echo(f"error: bad {name}: {e}", err=True)
+        _echo(f"error: bad {name}: {e}", err=True)
         sys.exit(EXIT_INPUT)
 
 
 def _group_by_index(inst: Instance, index: int) -> Subgroup:
     if not 0 <= index < len(inst.groups):
-        click.echo(
+        _echo(
             f"error: group index {index} out of range (instance has {len(inst.groups)} groups)",
             err=True,
         )
@@ -182,10 +189,10 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
     requested = [m.strip() for m in metrics.split(",") if m.strip()]
     for m in requested:
         if m not in _ALL_METRICS:
-            click.echo(f"error: unknown metric {m!r}", err=True)
+            _echo(f"error: unknown metric {m!r}", err=True)
             sys.exit(EXIT_INPUT)
     if degree < 1:
-        click.echo("error: --degree must be >= 1", err=True)
+        _echo("error: --degree must be >= 1", err=True)
         sys.exit(EXIT_INPUT)
     budget = _budget()
 
@@ -239,12 +246,12 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
         for m in requested:
             entry = report["metrics"][m]
             if "refused" in entry:
-                click.echo(f"{m:6s}  REFUSED  {entry['refused']}")
+                _echo(f"{m:6s}  REFUSED  {entry['refused']}")
             else:
                 v = entry["value"]
-                click.echo(f"{m:6s}  {v['rational']:>14s}  = {v['decimal']}")
+                _echo(f"{m:6s}  {v['rational']:>14s}  = {v['decimal']}")
         mm = report["membership"]
-        click.echo(f"multicalibrated: {mm['multicalibrated']}  multiaccurate: {mm['multiaccurate']}")
+        _echo(f"multicalibrated: {mm['multicalibrated']}  multiaccurate: {mm['multiaccurate']}")
     else:
         _emit(report, output)
     sys.exit(EXIT_OK)
@@ -270,7 +277,7 @@ def cmd_enumerate(instance, which, group, pretty, output):
     try:
         if which == "cal":
             if group is None:
-                click.echo("error: --set cal requires --group", err=True)
+                _echo("error: --set cal requires --group", err=True)
                 sys.exit(EXIT_INPUT)
             S = _group_by_index(inst, group)
             cs = calibrated_set(inst, S)
@@ -285,13 +292,13 @@ def cmd_enumerate(instance, which, group, pretty, output):
             payload = {"set": "mcal", "count": len(rows), "predictors": rows}
     except ValueError as e:
         if _is_budget_error(e):
-            click.echo(f"error: budget refusal: {e}", err=True)
+            _echo(f"error: budget refusal: {e}", err=True)
             sys.exit(EXIT_BUDGET)
         raise
     if pretty:
-        click.echo(f"{payload['count']} predictors")
+        _echo(f"{payload['count']} predictors")
         for row in payload["predictors"]:
-            click.echo("  (" + ", ".join("free" if v is None else v for v in row) + ")")
+            _echo("  (" + ", ".join("free" if v is None else v for v in row) + ")")
     else:
         _emit(payload, output)
     sys.exit(EXIT_OK)
@@ -318,11 +325,11 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
     eps_r = _parse_rat(eps, "--eps")
     delta_r = _parse_rat(delta, "--delta")
     if trials < 1:
-        click.echo("error: --trials must be >= 1", err=True)
+        _echo("error: --trials must be >= 1", err=True)
         sys.exit(EXIT_INPUT)
     if metric == "dce":
         if group is None:
-            click.echo("error: --metric dce requires --group", err=True)
+            _echo("error: --metric dce requires --group", err=True)
             sys.exit(EXIT_INPUT)
         S = _group_by_index(inst, group)
         runner = lambda s: dce_interval(inst, S, eps_r, delta_r, seed=s)
@@ -335,7 +342,7 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
         try:
             est = runner(s)
         except ValueError as e:
-            click.echo(f"error: {e}", err=True)
+            _echo(f"error: {e}", err=True)
             sys.exit(EXIT_INPUT)
         runs.append(
             {
@@ -411,14 +418,14 @@ def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points
         else:
             inst = gen_random(n_points, n_groups, seed=seed, grid_denominator=grid)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT)
     text = dump_instance(inst)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
-        click.echo(text)
+        _echo(text)
     sys.exit(EXIT_OK)
 
 
@@ -442,9 +449,9 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
         probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed)
     except ValueError as e:
         if _is_budget_error(e):
-            click.echo(f"error: budget refusal: {e}", err=True)
+            _echo(f"error: budget refusal: {e}", err=True)
             sys.exit(EXIT_BUDGET)
-        click.echo(f"error: {e}", err=True)
+        _echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT)
     payload = {
         "metric": probe.metric,
@@ -456,7 +463,7 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
     if probe.best_point is not None:
         payload["best_point"] = [_rat_json(v) for v in probe.best_point.values]
     if pretty:
-        click.echo(
+        _echo(
             f"{probe.metric}: baseline {payload['baseline']['rational']}, "
             f"best {payload['best_value']['rational']}, decreased: {probe.decreased}"
         )
@@ -481,8 +488,8 @@ def cmd_verify(suite, pretty, output):
     if pretty:
         for r in results:
             status = "PASS" if r.ok else "FAIL"
-            click.echo(f"{status}  {r.slug:40s} {r.elapsed:8.2f}s  {r.detail}")
-        click.echo(f"{'all criteria pass' if all_ok else 'FAILURES PRESENT'}")
+            _echo(f"{status}  {r.slug:40s} {r.elapsed:8.2f}s  {r.detail}")
+        _echo(f"{'all criteria pass' if all_ok else 'FAILURES PRESENT'}")
     else:
         _emit(
             {

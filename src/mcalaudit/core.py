@@ -4,7 +4,7 @@ Everything here is exact: probabilities, predictions and distances are
 `fractions.Fraction` values and no operation ever rounds.  Calibration is a
 statement about exact conditional means, and several of the quantities this
 package audits are discontinuous in the ground truth, so floating point is
-confined to explicit reporting views (`as_floats`, `to_decimal`).
+confined to the decimal reporting view `to_decimal`.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -130,10 +130,6 @@ class PredictorVec:
         for i, v in updates.items():
             vals[i] = rat(v)
         return PredictorVec(vals)
-
-    def as_floats(self) -> list[float]:
-        """Reporting view only; never used in metric computation."""
-        return [float(v) for v in self.values]
 
     @classmethod
     def constant(cls, n: int, v) -> "PredictorVec":

@@ -142,7 +142,8 @@ def _smce_from_counts(
         constraints.append((tuple(-c for c in row), "<=", gap))
     bounds = tuple([(Fraction(-1), one)] * d)
     sol = lp_solve(LPProblem(objective, tuple(constraints), bounds))
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise RuntimeError(f"smce LP ended with status {sol.status}")
     return -sol.optimum / m
 
 

@@ -9,6 +9,15 @@ optimum is exponentially sensitive to perturbations of the unbiasedness
 constraints, so a floating-point solve can be off by far more than
 round-off.
 
+The tableau is kept in integer rows: each row is a list of Python ints
+over one positive int denominator, reduced by the gcd of the row after
+every update.  A pivot on column c rewrites only the rows whose entry in c
+is not zero, each by one integer combination with the pivot row; sign tests
+read numerators and the ratio test cross-multiplies.  Every entry equals
+the one a `Fraction` tableau would hold, so Bland's rule takes exactly the
+same pivots and the solve ends at the same vertex, without a `Fraction`
+operation in the inner loop.
+
 Group masses and conditional label means are taken exactly from the
 Instance; sensitivity of the program to estimated constraint data is out
 of scope here.
@@ -19,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import Instance, PredictorVec, Subgroup, WitnessError, group_mass, rat
@@ -87,13 +97,47 @@ class LPSolution:
     assignment: tuple[Fraction, ...]
 
 
-def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
+def _int_row(entries: dict[int, Fraction], length: int) -> tuple[list[int], int]:
+    """The sparse row {column: value} as dense integer numerators over the
+    least common denominator of its values (already in lowest terms)."""
+    den = lcm(*(v.denominator for v in entries.values()))
+    row = [0] * length
+    for j, v in entries.items():
+        row[j] = v.numerator * (den // v.denominator)
+    return row, den
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [v // g for v in nums], den // g
+
+
+def _eliminate(nums: list[int], den: int, prow: list[int], col: int, support: list[int]) -> tuple[list[int], int]:
+    """Subtract the multiple of prow that zeroes column col of the row
+    nums/den: (nums*b - a*prow) / (den*b) with a = nums[col], b = prow[col],
+    both first divided by gcd(a, b).  prow[col] must be positive, and prow's
+    own denominator cancels; support lists the columns where prow is not 0."""
+    g = gcd(nums[col], prow[col])
+    a = nums[col] // g
+    b = prow[col] // g
+    nums = [v * b for v in nums] if b != 1 else nums[:]
+    for j in support:
+        nums[j] -= a * prow[j]
+    return _reduced(nums, den * b)
+
+
+def _simplex(rows: list[list[int]], dens: list[int], basis: list[int], ncols: int) -> str:
     """Run the simplex method on a tableau in canonical form, minimizing the
-    objective stored in the last row.  Bland's rule throughout.  Returns
-    "optimal" or "unbounded"; the tableau is pivoted in place."""
-    nrows = len(tableau) - 1
+    objective stored in the last row.  Row i holds the values rows[i][j] /
+    dens[i] with dens[i] > 0, so every sign test reads a numerator and the
+    ratio test cross-multiplies (the row denominator cancels).  Bland's rule
+    throughout.  Returns "optimal" or "unbounded"; the tableau is pivoted in
+    place."""
+    nrows = len(rows) - 1
     while True:
-        obj = tableau[-1]
+        obj = rows[-1]
         enter = -1
         for j in range(ncols):
             if obj[j] < 0:
@@ -102,27 +146,40 @@ def _simplex(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str
         if enter < 0:
             return "optimal"
         leave = -1
-        best: Optional[Fraction] = None
+        best_rhs = best_a = 0
         for i in range(nrows):
-            a = tableau[i][enter]
+            row = rows[i]
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                # row[-1]/a against best_rhs/best_a, both a > 0
+                this = row[-1] * best_a
+                best = best_rhs * a
+                if leave < 0 or this < best or (this == best and basis[i] < basis[leave]):
+                    best_rhs, best_a = row[-1], a
                     leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tableau, leave, enter)
+        _pivot(rows, dens, leave, enter)
         basis[leave] = enter
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col] != 0:
-            factor = tableau[i][col]
-            tableau[i] = [v - factor * p for v, p in zip(tableau[i], tableau[row])]
+def _pivot(rows: list[list[int]], dens: list[int], row: int, col: int):
+    """Scale the pivot row to 1 at col (negated first if its entry is
+    negative, so its denominator stays positive) and eliminate col from
+    every other row whose entry there is not 0."""
+    prow = rows[row]
+    if prow[col] < 0:
+        prow = [-v for v in prow]
+    prow, dens[row] = _reduced(prow, prow[col])
+    rows[row] = prow
+    support = _support(prow)
+    for i in range(len(rows)):
+        if i != row and rows[i][col] != 0:
+            rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, col, support)
+
+
+def _support(row: list[int]) -> list[int]:
+    return [j for j, v in enumerate(row) if v]
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
@@ -156,22 +213,21 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     def expand(coeffs: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
         """Rewrite a row over original variables in solver variables,
-        returning (column coefficients, constant shift moved to the rhs)."""
+        returning (column coefficients, constant shift moved to the rhs).
+        Each original variable has solver columns of its own."""
         cols: dict[int, Fraction] = {}
         shift = Fraction(0)
         for j, c in enumerate(coeffs):
             if c == 0:
                 continue
             kind, idx, off = mapping[j]
-            if kind == "shift":
-                cols[idx] = cols.get(idx, Fraction(0)) + c
+            if kind == "free":
+                cols[idx] = c
+                cols[idx + 1] = -c
+                continue
+            cols[idx] = c if kind == "shift" else -c
+            if off != 0:
                 shift += c * off
-            elif kind == "reflect":
-                cols[idx] = cols.get(idx, Fraction(0)) - c
-                shift += c * off
-            else:
-                cols[idx] = cols.get(idx, Fraction(0)) + c
-                cols[idx + 1] = cols.get(idx + 1, Fraction(0)) - c
         return cols, shift
 
     rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
@@ -182,91 +238,77 @@ def lp_solve(problem: LPProblem) -> LPSolution:
 
     obj_cols, obj_shift = expand(problem.objective)
 
-    # Normalize to non-negative rhs, then add slack/artificial columns.
-    nrows = len(rows)
-    slack_count = sum(1 for _, rel, _ in rows if rel != "=")
-    total = solver_vars + slack_count
-    art_idx: list[int] = []
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    slack_at = solver_vars
-    art_rows: list[int] = []
+    # Normalize to non-negative rhs; every row but a "<=" row gets an
+    # artificial column, after the solver and slack columns.
     for i, (cols, rel, rhs) in enumerate(rows):
         if rhs < 0:
-            cols = {j: -c for j, c in cols.items()}
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        row = [Fraction(0)] * total + [rhs]
-        for j, c in cols.items():
-            row[j] = c
-        if rel == "<=":
-            row[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            basis.append(-1)  # placeholder, artificial assigned below
-            art_rows.append(i)
-        else:
-            basis.append(-1)
-            art_rows.append(i)
-        tableau.append(row)
-
-    # Append artificial columns for rows lacking a basic slack.
+            rows[i] = ({j: -c for j, c in cols.items()}, {"<=": ">=", ">=": "<=", "=": "="}[rel], -rhs)
+    nrows = len(rows)
+    total = solver_vars + sum(1 for _, rel, _ in rows if rel != "=")
+    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != "<="]
     n_art = len(art_rows)
-    for row in tableau:
-        row[-1:-1] = [Fraction(0)] * n_art
-    for a, i in enumerate(art_rows):
-        col = total + a
-        tableau[i][col] = Fraction(1)
-        basis[i] = col
-        art_idx.append(col)
     width = total + n_art
+    # Row i holds the values tab[i][j] / dens[i], with dens[i] > 0.
+    tab: list[list[int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
+    slack_at = solver_vars
+    art_at = total
+    for cols, rel, rhs in rows:
+        entries = {**cols, width: rhs}
+        if rel != "=":
+            entries[slack_at] = 1 if rel == "<=" else -1
+            slack_at += 1
+        if rel == "<=":
+            basis.append(slack_at - 1)
+        else:
+            entries[art_at] = 1
+            basis.append(art_at)
+            art_at += 1
+        row, den = _int_row(entries, width + 1)
+        tab.append(row)
+        dens.append(den)
 
     if n_art:
-        phase1 = [Fraction(0)] * (width + 1)
-        for col in art_idx:
-            phase1[col] = Fraction(1)
-        tableau.append(phase1)
+        phase1 = [0] * total + [1] * n_art + [0]
+        tab.append(phase1)
+        dens.append(1)
         # Price out the artificial basis.
         for i in art_rows:
-            factor = tableau[-1][basis[i]]
-            if factor != 0:
-                tableau[-1] = [v - factor * p for v, p in zip(tableau[-1], tableau[i])]
-        _simplex(tableau, basis, width)
-        if tableau[-1][-1] != 0:
+            if tab[-1][basis[i]] != 0:
+                tab[-1], dens[-1] = _eliminate(tab[-1], dens[-1], tab[i], basis[i], _support(tab[i]))
+        _simplex(tab, dens, basis, width)
+        if tab[-1][-1] != 0:
             return LPSolution("infeasible", None, ())
-        tableau.pop()
+        tab.pop()
+        dens.pop()
         # Drive any artificial still basic out of the basis (degenerate rows).
         for i in range(nrows):
-            if basis[i] in art_idx:
+            if basis[i] >= total:
                 for j in range(total):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, i, j)
+                    if tab[i][j] != 0:
+                        _pivot(tab, dens, i, j)
                         basis[i] = j
                         break
+        # Artificials never re-enter, and one still basic sits on a row that
+        # is zero left of them, so phase 2 drops their columns.
+        for row in tab:
+            del row[total:width]
 
-    phase2 = [Fraction(0)] * (width + 1)
-    for j, c in obj_cols.items():
-        phase2[j] = c
-    for col in art_idx:
-        phase2[col] = Fraction(0)
-    tableau.append(phase2)
+    obj, obj_den = _int_row(obj_cols, total + 1)
     for i in range(nrows):
-        factor = tableau[-1][basis[i]]
-        if factor != 0:
-            tableau[-1] = [v - factor * p for v, p in zip(tableau[-1], tableau[i])]
-    # Forbid artificials from re-entering: treat the column range as solver
-    # plus slack variables only.
-    status = _simplex(tableau, basis, total)
+        if basis[i] < total and obj[basis[i]] != 0:
+            obj, obj_den = _eliminate(obj, obj_den, tab[i], basis[i], _support(tab[i]))
+    tab.append(obj)
+    dens.append(obj_den)
+    status = _simplex(tab, dens, basis, total)
     if status == "unbounded":
         return LPSolution("unbounded", None, ())
 
     values = [Fraction(0)] * total
     for i in range(nrows):
         if basis[i] < total:
-            values[basis[i]] = tableau[i][-1]
+            values[basis[i]] = Fraction(tab[i][-1], dens[i])
     assignment = []
     for kind, idx, off in mapping:
         if kind == "shift":
@@ -275,7 +317,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
             assignment.append(off - values[idx])
         else:
             assignment.append(values[idx] - values[idx + 1])
-    optimum = -tableau[-1][-1] + obj_shift
+    optimum = Fraction(-tab[-1][-1], dens[-1]) + obj_shift
     return LPSolution("optimal", optimum, tuple(assignment))
 
 

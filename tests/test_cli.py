@@ -1,6 +1,11 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from mcalaudit.cli import main
@@ -250,3 +255,17 @@ def test_enumerate_cal_refuses_above_the_partition_ceiling(tmp_path):
     r = _run(["enumerate", str(p), "--set", "cal", "--group", "0"])
     assert r.exit_code == 3
     assert "partition ceiling" in r.output
+
+
+def test_in_process_stdout_is_not_kept_alive(tmp_path):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exit_info:
+        main(["audit", str(p), "--metrics", "wdma,dma"])
+    assert exit_info.value.code == 0
+    assert json.loads(buf.getvalue())["metrics"]["dma"]
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None

@@ -62,6 +62,15 @@ def test_smce_empty_rejected():
         smce_empirical([])
 
 
+def test_smce_raises_on_a_non_optimal_lp(monkeypatch):
+    import mcalaudit.estimators
+    from mcalaudit import LPSolution
+
+    monkeypatch.setattr(mcalaudit.estimators, "lp_solve", lambda problem: LPSolution("infeasible", None, ()))
+    with pytest.raises(RuntimeError, match="infeasible"):
+        smce_empirical([(F(1, 2), 1), (F(3, 4), 0)])
+
+
 def test_default_sample_sizes():
     assert default_batch_size(F(1, 50)) == 10000
     assert default_batch_count(F(1, 20)) == math.ceil(18 * math.log(20))
