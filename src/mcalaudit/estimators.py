@@ -13,6 +13,16 @@ are bit-for-bit reproducible given a seed.  Sampling probabilities are
 rendered to float64 only to drive the draws; every statistic downstream
 of the integer sample counts is computed in exact rationals.
 
+A batch statistic depends on its draws only through the number of draws
+and of label-1 draws at each prediction value, so the interval
+estimators draw those counts directly: per batch a multinomial over the
+point masses, then a binomial per point for the labels, and for dimc
+first a multinomial over the generated cells.  This has the law of
+drawing every sample one by one, with O(batches x points) variates and
+memory, however many draws the interval takes.  Seeded outputs differ from
+versions that drew individual samples at the same seed; `sample` still
+draws one by one.
+
 The asymptotic constants behind the sample bounds are not pinned down by
 theory; the defaults here are batch size ceil(4/eps^2) and batch count
 ceil(18*ln(1/delta)) (the 18 comes from the Hoeffding bound on the median
@@ -187,33 +197,52 @@ def default_batch_count(delta: Fraction, parts: int = 1) -> int:
     return math.ceil(18 * math.log(parts / delta))
 
 
-def _value_index(inst: Instance, members: Sequence[int]) -> tuple[list[Fraction], np.ndarray]:
-    """Distinct audited-predictor values on the members, plus an array
-    mapping each domain point to its value index (-1 off the member set)."""
-    values = sorted({inst.audited[i] for i in members})
-    pos = {v: a for a, v in enumerate(values)}
-    idx = np.full(inst.n, -1, dtype=np.int64)
-    for i in members:
-        idx[i] = pos[inst.audited[i]]
-    return values, idx
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _batch_statistics(
-    values: list[Fraction], vi: np.ndarray, labels: np.ndarray, batch_size: int, batch_count: int
+def _check_draw_sizes(batch_size: int, batch_count: int, total: int) -> None:
+    """Refuse, before any draw, empty batches and counts numpy's int64
+    samplers cannot take."""
+    if batch_size < 1 or batch_count < 1:
+        raise ValueError("batch size and batch count must be >= 1")
+    for name, n in (("batch size", batch_size), ("total draw count", total)):
+        if n > _INT64_MAX:
+            raise ValueError(f"{name} {n} exceeds numpy's int64 range; use a larger eps")
+
+
+def _statistics_from_counts(
+    audited, members: Sequence[int], counts: np.ndarray, ones: np.ndarray, batch_size: int
 ) -> list[Fraction]:
-    """Exact per-batch lower-dCE statistics from index/label arrays."""
-    stats = []
-    d = len(values)
-    for b in range(batch_count):
-        rows = slice(b * batch_size, (b + 1) * batch_size)
-        n_counts = np.bincount(vi[rows], minlength=d)
-        s_counts = np.bincount(vi[rows], weights=labels[rows], minlength=d)
-        stats.append(
-            _smce_from_counts(
-                values, n_counts.tolist(), [int(s) for s in s_counts.tolist()], batch_size
-            )
-        )
-    return stats
+    """Exact lower-dCE statistic of each batch from per-point counts.
+
+    Row b of counts (ones) holds how many of batch b's `batch_size` draws
+    fell on each member (and had label 1); members sharing a prediction
+    are folded into one value before the LP.
+    """
+    values = sorted({audited[i] for i in members})
+    pos = {v: a for a, v in enumerate(values)}
+    fold = np.zeros((len(members), len(values)), dtype=np.int64)
+    for r, i in enumerate(members):
+        fold[r, pos[audited[i]]] = 1
+    return [
+        _smce_from_counts(values, n.tolist(), s.tolist(), batch_size)
+        for n, s in zip(counts @ fold, ones @ fold)
+    ]
+
+
+def _draw_batch_statistics(
+    rng: np.random.Generator, inst: Instance, members: Sequence[int], batch_size: int, batch_count: int
+) -> list[Fraction]:
+    """Statistics of `batch_count` batches of `batch_size` i.i.d. draws
+    from the instance conditioned on `members`, drawn as sufficient
+    statistics: a multinomial over the members' point masses per batch,
+    then a binomial per point for the labels."""
+    cond = np.array([float(inst.marginal[i]) for i in members])
+    cond /= cond.sum()
+    pstar = np.array([float(inst.ground_truth[i]) for i in members])
+    counts = rng.multinomial(batch_size, cond, size=batch_count)
+    ones = rng.binomial(counts, pstar)
+    return _statistics_from_counts(inst.audited, members, counts, ones, batch_size)
 
 
 def dce_interval(
@@ -234,17 +263,9 @@ def dce_interval(
     bs = batch_size if batch_size is not None else default_batch_size(eps)
     bc = batch_count if batch_count is not None else default_batch_count(delta)
     total = bs * bc
+    _check_draw_sizes(bs, bc, total)
 
-    rng = _rng(seed)
-    members = list(S.members)
-    cond = np.array([float(inst.marginal[i]) for i in members])
-    cond /= cond.sum()
-    xs = rng.choice(np.array(members), size=total, p=cond)
-    pstar = np.array([float(v) for v in inst.ground_truth.values])
-    labels = (rng.random(total) < pstar[xs]).astype(np.float64)
-
-    values, idx = _value_index(inst, members)
-    mu_hat = _median(_batch_statistics(values, idx[xs], labels, bs, bc))
+    mu_hat = _median(_draw_batch_statistics(_rng(seed), inst, list(S.members), bs, bc))
     a = mu_hat + eps
     return IntervalEstimate(
         point=mu_hat,
@@ -280,38 +301,29 @@ def dimc_interval(
     part = generated_partition(inst.groups, inst.n)
     cells = part.cells
     ell = len(cells)
-    gamma = min(group_mass(inst.marginal, c) for c in cells)
+    masses = [group_mass(inst.marginal, c) for c in cells]
+    gamma = min(masses)
     if eps > gamma:
         raise ValueError(f"eps={eps} exceeds the minimum cell mass gamma={gamma}")
     bs = batch_size if batch_size is not None else default_batch_size(eps)
     bc = batch_count if batch_count is not None else default_batch_count(delta, parts=ell)
     per_cell = bs * bc
     total = math.ceil(Fraction(2 * per_cell) / gamma)
+    _check_draw_sizes(bs, bc, total)
 
     rng = _rng(seed)
-    probs = np.array([float(p) for p in inst.marginal.probs])
-    probs /= probs.sum()
-    xs = rng.choice(inst.n, size=total, p=probs)
-    pstar = np.array([float(v) for v in inst.ground_truth.values])
-    labels = (rng.random(total) < pstar[xs]).astype(np.float64)
-
-    cell_of = np.empty(inst.n, dtype=np.int64)
-    for ci, cell in enumerate(cells):
-        for x in cell.members:
-            cell_of[x] = ci
-    cell_ids = cell_of[xs]
-
+    cell_mass = np.array([float(m) for m in masses])
+    cell_mass /= cell_mass.sum()
     theta_hat = Fraction(0)
-    for ci, cell in enumerate(cells):
-        positions = np.nonzero(cell_ids == ci)[0]
-        p_hat = Fraction(int(positions.size), total)
-        take = positions[:per_cell]
-        # Short cells fall back to fewer (but never zero) full batches.
-        nb = max(1, min(bc, take.size // bs))
-        size = take.size // nb
-        values, idx = _value_index(inst, list(cell.members))
-        stats = _batch_statistics(values, idx[xs[take]], labels[take], size, nb)
-        theta_hat += p_hat * _median(stats)
+    for cell, drawn in zip(cells, rng.multinomial(total, cell_mass).tolist()):
+        if not drawn:
+            continue  # p_hat = 0: the cell adds nothing and has no batch
+        # A cell uses at most per_cell of its draws; short cells fall back
+        # to fewer (but never zero) full batches.
+        take = min(drawn, per_cell)
+        nb = max(1, min(bc, take // bs))
+        stats = _draw_batch_statistics(rng, inst, list(cell.members), take // nb, nb)
+        theta_hat += Fraction(drawn, total) * _median(stats)
 
     a = Fraction(ell) * theta_hat
     return IntervalEstimate(

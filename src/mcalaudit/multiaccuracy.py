@@ -218,7 +218,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         cols: dict[int, Fraction] = {}
         shift = Fraction(0)
         for j, c in enumerate(coeffs):
-            if c == 0:
+            if not c:
                 continue
             kind, idx, off = mapping[j]
             if kind == "free":
@@ -226,7 +226,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
                 cols[idx + 1] = -c
                 continue
             cols[idx] = c if kind == "shift" else -c
-            if off != 0:
+            if off:
                 shift += c * off
         return cols, shift
 

@@ -161,6 +161,15 @@ def test_estimate_bad_eps_exits_2(tmp_path):
     assert r.exit_code == 2  # eps above the smallest cell mass
 
 
+@pytest.mark.parametrize("metric", [["--metric", "dce", "--group", "1"], ["--metric", "dimc"]])
+def test_estimate_eps_beyond_int64_draws_exits_2(tmp_path, metric):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    r = _run(["estimate", str(p), *metric, "--eps", "1/10000000000"])
+    assert r.exit_code == 2, r.output
+    assert "error: batch size" in r.output and "int64" in r.output
+
+
 def test_landscape(tmp_path):
     p = tmp_path / "local.json"
     r = _run(["generate", "--family", "wdmc-local-min", "-o", str(p)])

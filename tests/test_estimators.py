@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mcalaudit import (
@@ -12,8 +14,23 @@ from mcalaudit import (
     sample,
     smce_empirical,
 )
-from mcalaudit.estimators import LabeledSample, default_batch_count, default_batch_size
-from mcalaudit.instances import gen_three_point
+import mcalaudit.estimators
+from mcalaudit.core import (
+    FiniteDomain,
+    Instance,
+    Marginal,
+    PredictorVec,
+    SubgroupCollection,
+    group_mass,
+)
+from mcalaudit.distances import generated_partition
+from mcalaudit.estimators import (
+    LabeledSample,
+    _statistics_from_counts,
+    default_batch_count,
+    default_batch_size,
+)
+from mcalaudit.instances import gen_cdmc_example, gen_three_point, gen_wdmc_local_min
 
 F = Fraction
 
@@ -105,6 +122,7 @@ def test_dce_interval_deterministic_and_covering():
     a = dce_interval(inst, S2, F(1, 50), F(1, 20), seed=0)
     b = dce_interval(inst, S2, F(1, 50), F(1, 20), seed=0)
     assert a == b
+    assert dce_interval(inst, S2, F(1, 50), F(1, 20), seed=1) != a
     assert a.contains(exact)
     assert a.lower == a.point - F(1, 50)
     assert a.samples_used == default_batch_size(F(1, 50)) * default_batch_count(F(1, 20))
@@ -122,6 +140,8 @@ def test_dimc_interval_covers_and_scales_samples():
     inst = gen_three_point(F(1, 10))
     exact = dimc(inst).value
     est = dimc_interval(inst, F(1, 50), F(1, 20), seed=0)
+    assert est == dimc_interval(inst, F(1, 50), F(1, 20), seed=0)
+    assert est != dimc_interval(inst, F(1, 50), F(1, 20), seed=1)
     assert est.contains(exact)
     # minimum cell mass is 1/3, so the draw count is 6x the per-cell need
     per_cell = default_batch_size(F(1, 50)) * default_batch_count(F(1, 20), parts=3)
@@ -140,3 +160,152 @@ def test_interval_upper_decimal_matches_terms():
     a, b = est.upper_terms
     approx = 4 * math.sqrt(a) + math.sqrt(b)
     assert abs(float(est.upper_decimal) - approx) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_statistics_from_counts_match_smce_of_the_sample_list(seed):
+    # At least 4 members over 3 prediction values, so some members share a
+    # prediction and fold into one value.
+    rng = np.random.default_rng(seed)
+    n = 6
+    audited = PredictorVec([F(int(v), 4) for v in rng.integers(0, 3, size=n)])
+    members = sorted(rng.choice(n, size=int(rng.integers(4, n + 1)), replace=False).tolist())
+    size = int(rng.integers(1, 40))
+    counts = rng.multinomial(size, rng.dirichlet(np.ones(len(members))), size=5)
+    ones = rng.binomial(counts, rng.random(len(members)))
+    stats = _statistics_from_counts(audited, members, counts, ones, size)
+    assert len(stats) == 5
+    for row_counts, row_ones, stat in zip(counts.tolist(), ones.tolist(), stats):
+        pairs = []
+        for i, c, o in zip(members, row_counts, row_ones):
+            pairs += [(audited[i], 1)] * o + [(audited[i], 0)] * (c - o)
+        assert smce_empirical(pairs) == stat
+
+
+def test_samples_used_of_the_default_parameters():
+    eps, delta = F(1, 50), F(1, 20)
+    cases = [
+        (gen_three_point(F(1, 10)), 4440000),
+        (gen_wdmc_local_min(F(1, 200), F(1, 10)), 4440000),
+        (gen_cdmc_example(), 5920000),
+    ]
+    for inst, dimc_draws in cases:
+        for S in inst.groups:
+            assert dce_interval(inst, S, eps, delta, seed=0).samples_used == 540000
+        assert dimc_interval(inst, eps, delta, seed=0).samples_used == dimc_draws
+
+
+def test_dimc_interval_memory_does_not_grow_with_draws():
+    tracemalloc.start()
+    try:
+        est = dimc_interval(gen_cdmc_example(), F(1, 50), F(1, 20), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.samples_used == 5920000
+    assert peak < 5 * 2**20
+
+
+def test_tiny_eps_finishes():
+    inst = gen_three_point(F(1, 10))
+    eps, delta = F(1, 10**5), F(1, 20)
+    a = dce_interval(inst, inst.groups[1], eps, delta, seed=0)
+    assert a.samples_used == default_batch_size(eps) * default_batch_count(delta) == 2_160_000_000_000
+    assert a.contains(dce(inst, inst.groups[1]).value)
+    b = dimc_interval(inst, eps, delta, seed=0)
+    assert b.samples_used > 10**13
+    assert b.contains(dimc(inst).value)
+
+
+def test_draw_sizes_out_of_range_are_refused_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(mcalaudit.estimators, "_draw_batch_statistics", no_draws)
+    inst = gen_three_point(F(1, 10))
+    with pytest.raises(ValueError, match="batch size .* int64"):
+        dce_interval(inst, inst.groups[1], F(1, 10**10), F(1, 20), seed=0)
+    with pytest.raises(ValueError, match="batch size .* int64"):
+        dimc_interval(inst, F(1, 10**10), F(1, 20), seed=0)
+    with pytest.raises(ValueError, match="total draw count .* int64"):
+        dce_interval(inst, inst.groups[1], F(1, 50), F(1, 20), seed=0, batch_size=2**62, batch_count=2)
+    with pytest.raises(ValueError, match="total draw count .* int64"):
+        dimc_interval(inst, F(1, 50), F(1, 20), seed=0, batch_size=2**61, batch_count=1)
+    for sizes in ({"batch_size": 0}, {"batch_count": 0}, {"batch_size": -1}):
+        with pytest.raises(ValueError, match=">= 1"):
+            dce_interval(inst, inst.groups[1], F(1, 50), F(1, 20), seed=0, **sizes)
+        with pytest.raises(ValueError, match=">= 1"):
+            dimc_interval(inst, F(1, 50), F(1, 20), seed=0, **sizes)
+
+
+def _spy_batches(monkeypatch):
+    calls = []
+    draw = mcalaudit.estimators._draw_batch_statistics
+
+    def spy(rng, inst, members, size, count):
+        calls.append((size, count))
+        return draw(rng, inst, members, size, count)
+
+    monkeypatch.setattr(mcalaudit.estimators, "_draw_batch_statistics", spy)
+    return calls
+
+
+def test_dimc_short_cells_keep_at_least_one_batch(monkeypatch):
+    # One batch of 2 with gamma = 1/3: 12 draws, 4 expected per cell, so
+    # some seeds leave a cell a single draw.
+    calls = _spy_batches(monkeypatch)
+    inst = gen_three_point(F(1, 10))
+    short = 0
+    for seed in range(100):
+        calls.clear()
+        est = dimc_interval(inst, F(1, 50), F(1, 20), seed=seed, batch_size=2, batch_count=1)
+        assert est.samples_used == 12
+        assert 0 <= est.point <= 1
+        assert all(count >= 1 and size >= 1 for size, count in calls)
+        short += any(size < 2 for size, _ in calls)
+    assert short > 0
+
+
+def test_dimc_empty_cells_add_nothing(monkeypatch):
+    # One draw per batch and gamma = 1/3: 6 draws over 3 cells, so some
+    # seeds leave a cell empty; p_hat = 0 there and the cell is skipped.
+    calls = _spy_batches(monkeypatch)
+    inst = gen_three_point(F(1, 10))
+    empty = 0
+    for seed in range(50):
+        calls.clear()
+        est = dimc_interval(inst, F(1, 50), F(1, 20), seed=seed, batch_size=1, batch_count=1)
+        assert 0 <= est.point <= 1
+        empty += len(calls) < 3
+    assert empty > 0
+
+
+def test_point_estimates_follow_the_marginal_and_the_cells():
+    # Non-uniform marginal, tied predictions (points 0 and 2) and cells of
+    # unequal mass.  The population statistic is smce_empirical of a list
+    # holding 80*m(x) pairs per point, 80*m(x)*p*(x) of them labelled 1.
+    inst = Instance(
+        domain=FiniteDomain(4),
+        marginal=Marginal([F(1, 2), F(1, 4), F(1, 8), F(1, 8)]),
+        ground_truth=PredictorVec([F(1, 2), F(1), F(0), F(9, 10)]),
+        groups=SubgroupCollection([[0, 1, 2], [2, 3]]),
+        audited=PredictorVec([F(1, 2), F(0), F(1, 2), F(1, 4)]),
+    )
+
+    def population(members):
+        pairs = []
+        for x in members:
+            n = int(80 * inst.marginal[x])
+            ones = int(n * inst.ground_truth[x])
+            pairs += [(inst.audited[x], 1)] * ones + [(inst.audited[x], 0)] * (n - ones)
+        return smce_empirical(pairs)
+
+    cells = generated_partition(inst.groups, inst.n).cells
+    theta = sum(group_mass(inst.marginal, c) * population(c.members) for c in cells)
+    eps, delta = F(1, 50), F(1, 20)
+    # A batch statistic of 10000 draws has a spread of about 1/200; the
+    # median of the batches is several times closer.
+    for seed in range(5):
+        for S in inst.groups:
+            assert abs(dce_interval(inst, S, eps, delta, seed=seed).point - population(S.members)) < F(1, 200)
+        assert abs(dimc_interval(inst, eps, delta, seed=seed).point - theta) < F(1, 200)
