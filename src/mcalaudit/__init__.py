@@ -1,6 +1,7 @@
 """Exact auditing toolkit for calibration and multicalibration distances."""
 
 from .core import (
+    BudgetExceeded,
     FiniteDomain,
     Instance,
     Marginal,

@@ -7,7 +7,7 @@ digit decimal renderings (round-half-even; the decimals are views only).
 
 Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 budget
 refusal.  The environment variable MCAL_AUDIT_BUDGET overrides the
-enumeration budget used by the multicalibration join.
+budget of the multicalibration join in `audit`, `enumerate` and `landscape`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import Optional
 import click
 
 from .core import (
+    BudgetExceeded,
     Instance,
     Subgroup,
-    WitnessError,
     dump_instance,
     instance_from_dict,
     l1_distance,
@@ -34,7 +34,7 @@ from .core import (
     to_decimal,
     validate,
 )
-from .distances import DistanceResult, dce, dcma, dimc, dmc, generated_partition, local_min_probe, wdmc
+from .distances import METRICS, certify, local_min_probe
 from .enumeration import (
     calibrated_set,
     is_calibrated,
@@ -54,7 +54,7 @@ from .instances import (
     gen_three_point,
     gen_wdmc_local_min,
 )
-from .multiaccuracy import _dma_problem, bias, dma, wdma
+from .multiaccuracy import _dma_problem
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -83,11 +83,6 @@ def _budget() -> int:
     except ValueError:
         raise click.ClickException(f"MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}")
     return value
-
-
-def _is_budget_error(e: ValueError) -> bool:
-    msg = str(e)
-    return "exceeds" in msg and ("budget" in msg or "ceiling" in msg)
 
 
 def _rat_json(x: Fraction) -> dict:
@@ -149,35 +144,14 @@ def main():
 # audit
 # ---------------------------------------------------------------------------
 
-_ALL_METRICS = ("wdmc", "dmc", "dimc", "wdma", "dma", "dcma")
-
-
-def _certify(metric: str, r: DistanceResult, inst: Instance) -> None:
-    """Raise WitnessError unless the witness lies in the metric's target set
-    and at the reported l1 distance from the audited predictor."""
-    w = r.witness
-    if metric == "dmc":
-        member = is_multicalibrated(w, inst)
-    elif metric == "dimc":
-        member = all(is_calibrated(w, inst, c) for c in generated_partition(inst.groups, inst.n).cells)
-    elif metric == "dma":
-        member = is_multiaccurate(w, inst)
-    else:  # dcma
-        member = is_calibrated(w, inst, Subgroup(range(inst.n))) and is_multiaccurate(w, inst)
-    if not member:
-        raise WitnessError(f"{metric} witness is not in the metric's target set")
-    distance = l1_distance(inst.audited, w, inst.marginal)
-    if distance != r.value:
-        raise WitnessError(f"{metric} value {r.value} differs from its witness's l1 distance {distance}")
-
 
 @main.command("audit")
 @click.argument("instance", type=str)
 @click.option(
     "--metrics",
-    default=",".join(_ALL_METRICS),
+    default=",".join(METRICS),
     show_default=True,
-    help="Comma-separated subset of wdmc,dmc,dimc,wdma,dma,dcma.",
+    help=f"Comma-separated subset of {','.join(METRICS)}.",
 )
 @click.option("--degree", type=int, default=1, show_default=True, help="Check degree-r membership for r = 1..DEGREE.")
 @click.option("--dump-lp", type=str, default=None, help="Write the multiaccuracy-distance LP as JSON to this path.")
@@ -188,7 +162,7 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
     inst = _load(instance)
     requested = [m.strip() for m in metrics.split(",") if m.strip()]
     for m in requested:
-        if m not in _ALL_METRICS:
+        if m not in METRICS:
             _echo(f"error: unknown metric {m!r}", err=True)
             sys.exit(EXIT_INPUT)
     if degree < 1:
@@ -198,32 +172,24 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
 
     report: dict = {"metrics": {}, "membership": {}, "timing_seconds": {}}
     for m in requested:
-        t0 = time.time()
+        compute, target = METRICS[m]
+        t0 = time.perf_counter()
         try:
-            if m == "wdmc":
-                value, group = wdmc(inst)
-                entry = {"value": _rat_json(value), "witness_group": list(group.members)}
-            elif m == "wdma":
-                value, group = wdma(inst)
-                entry = {"value": _rat_json(value), "witness_group": list(group.members)}
-            else:
-                if m == "dmc":
-                    r = dmc(inst, budget=budget)
-                elif m == "dimc":
-                    r = dimc(inst)
-                elif m == "dma":
-                    r = dma(inst)
-                else:  # dcma
-                    r = dcma(inst)
-                _certify(m, r, inst)
-                entry = {"value": _rat_json(r.value), "witness": [_rat_json(v) for v in r.witness.values]}
+            r = compute(inst, budget)
+        except BudgetExceeded as e:
+            entry = {"refused": str(e)}
         except ValueError as e:
-            if _is_budget_error(e):
-                entry = {"refused": str(e)}
+            _echo(f"error: {e}", err=True)
+            sys.exit(EXIT_INPUT)
+        else:
+            value, witness = r
+            if target is None:
+                entry = {"value": _rat_json(value), "witness_group": list(witness.members)}
             else:
-                raise
+                certify(m, r, inst)
+                entry = {"value": _rat_json(value), "witness": [_rat_json(v) for v in witness.values]}
         report["metrics"][m] = entry
-        report["timing_seconds"][m] = round(time.time() - t0, 6)
+        report["timing_seconds"][m] = round(time.perf_counter() - t0, 6)
 
     f = inst.audited
     report["membership"]["calibrated_per_group"] = [
@@ -290,11 +256,9 @@ def cmd_enumerate(instance, which, group, pretty, output):
                 for cand in mc
             ]
             payload = {"set": "mcal", "count": len(rows), "predictors": rows}
-    except ValueError as e:
-        if _is_budget_error(e):
-            _echo(f"error: budget refusal: {e}", err=True)
-            sys.exit(EXIT_BUDGET)
-        raise
+    except BudgetExceeded as e:
+        _echo(f"error: budget refusal: {e}", err=True)
+        sys.exit(EXIT_BUDGET)
     if pretty:
         _echo(f"{payload['count']} predictors")
         for row in payload["predictors"]:
@@ -436,7 +400,7 @@ def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points
 
 @main.command("landscape")
 @click.argument("instance", type=str)
-@click.option("--metric", type=click.Choice(["wdmc", "dmc", "dimc", "wdma", "dma"]), default="wdmc", show_default=True)
+@click.option("--metric", type=click.Choice(list(METRICS)), default="wdmc", show_default=True)
 @click.option("--radius", default="1/1000", show_default=True, help="Probe ball radius (rational).")
 @click.option("--trials", type=int, default=500, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -446,11 +410,11 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
     """Probe a metric's landscape around the audited predictor."""
     inst = _load(instance)
     try:
-        probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed)
+        probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed, _budget())
+    except BudgetExceeded as e:
+        _echo(f"error: budget refusal: {e}", err=True)
+        sys.exit(EXIT_BUDGET)
     except ValueError as e:
-        if _is_budget_error(e):
-            _echo(f"error: budget refusal: {e}", err=True)
-            sys.exit(EXIT_BUDGET)
         _echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT)
     payload = {

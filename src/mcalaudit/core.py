@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Rational = Fraction
 
@@ -29,7 +29,9 @@ __all__ = [
     "SubgroupCollection",
     "Instance",
     "ValidationReport",
+    "DistanceResult",
     "WitnessError",
+    "BudgetExceeded",
     "l1_distance",
     "conditional_l1",
     "group_mass",
@@ -245,9 +247,25 @@ def conditional_l1(f: PredictorVec, g: PredictorVec, m: Marginal, S: Subgroup) -
     return total / mass
 
 
+class DistanceResult(NamedTuple):
+    """An exact distance together with a nearest perfect predictor."""
+
+    value: Fraction
+    witness: PredictorVec
+
+
 class WitnessError(RuntimeError):
     """A computed witness failed its independent certification: it is not
     in the metric's target set, or not at the reported distance."""
+
+
+class BudgetExceeded(ValueError):
+    """A refusal before any work: `bound` (a subgroup size, a per-group
+    Bell-number product or a collection size) exceeds its ceiling `budget`."""
+
+    def __init__(self, message: str, bound: int, budget: int):
+        super().__init__(message)
+        self.bound, self.budget = bound, budget
 
 
 @dataclass(frozen=True)

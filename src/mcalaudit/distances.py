@@ -16,8 +16,8 @@ Cost: dce (and so wdmc per group and dimc per cell) is a min-cost set
 partition of the subgroup, solved by a subset DP over the per-class tables
 of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
 listing the calibrated set.  dcma scores the members of the global
-calibrated set in integers.  Both keep the refusal of k above
-PARTITION_CEILING unless overridden.
+calibrated set in integers.  Both refuse k above PARTITION_CEILING with
+`BudgetExceeded`.  `METRICS` is the one table of the six audited metrics.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from math import lcm
 from typing import Optional
 
 from .core import (
+    BudgetExceeded,
+    DistanceResult,
     Instance,
-    Marginal,
     PredictorVec,
     Subgroup,
     SubgroupCollection,
-    conditional_l1,
+    WitnessError,
     group_mass,
     l1_distance,
 )
@@ -43,12 +44,16 @@ from .enumeration import (
     calibrated_set,
     complete_predictor,
     is_calibrated,
-    is_degree_r_multicalibrated,
+    is_multiaccurate,
+    is_multicalibrated,
     multicalibrated_set,
 )
+from .multiaccuracy import dma, wdma
 
 __all__ = [
     "DistanceResult",
+    "METRICS",
+    "certify",
     "GeneratedPartition",
     "LowDegreeSearchResult",
     "ProbeReport",
@@ -66,15 +71,7 @@ __all__ = [
 CLOSURE_CEILING = 20
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    """An exact distance together with a nearest perfect predictor."""
-
-    value: Fraction
-    witness: PredictorVec
-
-
-def dce(inst: Instance, S: Subgroup, override: bool = False) -> DistanceResult:
+def dce(inst: Instance, S: Subgroup) -> DistanceResult:
     """Distance to calibration of the audited predictor conditioned on S.
 
     Minimizes the conditional l1 distance over cal(D|S), as a min-cost set
@@ -85,7 +82,7 @@ def dce(inst: Instance, S: Subgroup, override: bool = False) -> DistanceResult:
     predictor off S.  Ties are broken by the lexicographically smallest
     restricted value vector, found by a search along the optimal branches.
     """
-    t = _ClassTables(inst, S, override)
+    t = _ClassTables(inst, S, False)
     f = inst.audited
     fs = [f[x] for x in S.members]
     full = (1 << t.k) - 1
@@ -155,19 +152,19 @@ def dce(inst: Instance, S: Subgroup, override: bool = False) -> DistanceResult:
     return DistanceResult(value=Fraction(best[full], E * L * t.mass[full]), witness=witness)
 
 
-def wdmc(inst: Instance, override: bool = False) -> tuple[Fraction, Subgroup]:
+def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted conditional distance to calibration."""
     best_val: Optional[Fraction] = None
     best_group: Optional[Subgroup] = None
     for S in inst.groups:
-        v = group_mass(inst.marginal, S) * dce(inst, S, override=override).value
+        v = group_mass(inst.marginal, S) * dce(inst, S).value
         if best_val is None or v > best_val:
             best_val = v
             best_group = S
     return best_val, best_group
 
 
-def dmc(inst: Instance, budget: int = 10_000_000, override: bool = False) -> DistanceResult:
+def dmc(inst: Instance, budget: int = 10_000_000) -> DistanceResult:
     """Distance to multicalibration: min l1 distance over mcal_C(D).
 
     Coordinates uncovered by the groups are unconstrained in every
@@ -177,7 +174,7 @@ def dmc(inst: Instance, budget: int = 10_000_000, override: bool = False) -> Dis
     f = inst.audited
     best: Optional[Fraction] = None
     best_witness = None
-    for cand in multicalibrated_set(inst, budget=budget, override=override):
+    for cand in multicalibrated_set(inst, budget=budget):
         g = complete_predictor(cand, f)
         d = l1_distance(f, g, inst.marginal)
         if best is None or d < best or (d == best and g.values < best_witness.values):
@@ -189,9 +186,11 @@ def dmc(inst: Instance, budget: int = 10_000_000, override: bool = False) -> Dis
 def intersection_closure(C: SubgroupCollection, override: bool = False) -> SubgroupCollection:
     """All non-empty intersections of non-empty subfamilies of C."""
     if len(C) > CLOSURE_CEILING and not override:
-        raise ValueError(
+        raise BudgetExceeded(
             f"collection size {len(C)} exceeds closure ceiling {CLOSURE_CEILING}; "
-            "pass override=True to proceed"
+            "pass override=True to proceed",
+            len(C),
+            CLOSURE_CEILING,
         )
     closed: set[tuple[int, ...]] = {g.members for g in C}
     frontier = set(closed)
@@ -235,7 +234,7 @@ def generated_partition(C: SubgroupCollection, n: int) -> GeneratedPartition:
     )
 
 
-def dimc(inst: Instance, override: bool = False) -> DistanceResult:
+def dimc(inst: Instance) -> DistanceResult:
     """Distance to intersection multicalibration (= continuized dmc).
 
     Decomposes over the generated partition: sum of cell mass times the
@@ -246,13 +245,13 @@ def dimc(inst: Instance, override: bool = False) -> DistanceResult:
     total = Fraction(0)
     witness = inst.audited
     for cell in part.cells:
-        r = dce(inst, cell, override=override)
+        r = dce(inst, cell)
         total += group_mass(inst.marginal, cell) * r.value
         witness = witness.with_values({x: r.witness[x] for x in cell.members})
     return DistanceResult(value=total, witness=witness)
 
 
-def dcma(inst: Instance, override: bool = False) -> DistanceResult:
+def dcma(inst: Instance) -> DistanceResult:
     """Distance to the set of globally calibrated, multiaccurate predictors.
 
     Scores every member of cal(D) in integers: with the marginal's products
@@ -263,7 +262,7 @@ def dcma(inst: Instance, override: bool = False) -> DistanceResult:
     """
     n = inst.n
     m, p, f = inst.marginal, inst.ground_truth, inst.audited
-    cs = calibrated_set(inst, Subgroup(range(n)), override=override)
+    cs = calibrated_set(inst, Subgroup(range(n)))
     scale = lcm(*(q.denominator for x in range(n) for q in (m[x], m[x] * p[x], m[x] * f[x])))
     Q = lcm(*{v.denominator for cand in cs for v in cand})
     M = [(m[x] * scale).numerator for x in range(n)]
@@ -359,6 +358,36 @@ def dmc_lowdeg_bruteforce(inst: Instance, r: int, grid_denominator: int) -> LowD
     )
 
 
+# name -> (compute, target).  compute(inst, budget) returns (value, witness),
+# the witness being the worst group for wdmc and wdma, whose target is None;
+# target(witness, inst) checks membership in the metric's target set.  Names
+# resolve at call time, so a rebound one (a tracer's wrapper) is the one used.
+METRICS = {
+    "wdmc": (lambda inst, budget: wdmc(inst), None),
+    "dmc": (lambda inst, budget: dmc(inst, budget), lambda w, inst: is_multicalibrated(w, inst)),
+    "dimc": (
+        lambda inst, budget: dimc(inst),
+        lambda w, inst: all(is_calibrated(w, inst, c) for c in generated_partition(inst.groups, inst.n).cells),
+    ),
+    "wdma": (lambda inst, budget: wdma(inst), None),
+    "dma": (lambda inst, budget: dma(inst), lambda w, inst: is_multiaccurate(w, inst)),
+    "dcma": (
+        lambda inst, budget: dcma(inst),
+        lambda w, inst: is_calibrated(w, inst, Subgroup(range(inst.n))) and is_multiaccurate(w, inst),
+    ),
+}
+
+
+def certify(metric: str, r: DistanceResult, inst: Instance) -> None:
+    """Raise WitnessError unless the witness lies in the metric's target set
+    and at the reported l1 distance from the audited predictor."""
+    if not METRICS[metric][1](r.witness, inst):
+        raise WitnessError(f"{metric} witness is not in the metric's target set")
+    distance = l1_distance(inst.audited, r.witness, inst.marginal)
+    if distance != r.value:
+        raise WitnessError(f"{metric} value {r.value} differs from its witness's l1 distance {distance}")
+
+
 @dataclass(frozen=True)
 class ProbeReport:
     metric: str
@@ -378,6 +407,7 @@ def local_min_probe(
     radius: Fraction,
     trials: int,
     seed: int,
+    budget: int = 10_000_000,
 ) -> ProbeReport:
     """Randomly probe the loss landscape of a metric around the audited
     predictor.
@@ -387,14 +417,17 @@ def local_min_probe(
     rescaled; the result is clipped to [0,1]^X, which stays inside the
     ball), evaluates the metric exactly at each perturbed predictor, and
     reports the best observed value.  Deterministic given the seed.
+    `budget` bounds dmc's multicalibration join.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    evaluate = _metric_fn(metric)
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    compute = METRICS[metric][0]
     f = inst.audited
     n = inst.n
     m = inst.marginal
-    baseline = evaluate(inst)
+    baseline = compute(inst, budget)[0]
     best_value = baseline
     best_point: Optional[PredictorVec] = None
     rng = random.Random(seed)
@@ -410,7 +443,7 @@ def local_min_probe(
         perturbed = PredictorVec(
             [min(one, max(zero, f[i] + signs[i] * mags[i] * scale)) for i in range(n)]
         )
-        value = evaluate(inst.with_audited(perturbed))
+        value = compute(inst.with_audited(perturbed), budget)[0]
         if value < best_value:
             best_value = value
             best_point = perturbed
@@ -423,20 +456,3 @@ def local_min_probe(
         trials=trials,
     )
 
-
-def _metric_fn(metric: str):
-    if metric == "wdmc":
-        return lambda inst: wdmc(inst)[0]
-    if metric == "dmc":
-        return lambda inst: dmc(inst).value
-    if metric == "dimc":
-        return lambda inst: dimc(inst).value
-    if metric == "wdma":
-        from .multiaccuracy import wdma
-
-        return lambda inst: wdma(inst)[0]
-    if metric == "dma":
-        from .multiaccuracy import dma
-
-        return lambda inst: dma(inst).value
-    raise ValueError(f"unknown metric {metric!r}")

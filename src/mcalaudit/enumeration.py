@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterator, Optional
 
-from .core import Instance, PredictorVec, Subgroup, group_mass
+from .core import BudgetExceeded, Instance, PredictorVec, Subgroup, group_mass
 
 # Bell(12) = 4,213,597; beyond this the partition stream is impractical.
 PARTITION_CEILING = 12
@@ -97,10 +97,12 @@ def _check_ceiling(k: int, override: bool) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > PARTITION_CEILING and not override:
-        raise ValueError(
+        raise BudgetExceeded(
             f"k={k} exceeds the partition ceiling {PARTITION_CEILING} "
             f"(Bell({PARTITION_CEILING}) = {bell_number(PARTITION_CEILING)}); "
-            "pass override=True to proceed anyway"
+            "pass override=True to proceed anyway",
+            k,
+            PARTITION_CEILING,
         )
 
 
@@ -271,16 +273,18 @@ def multicalibrated_set(
     audited predictor there, which contributes zero to any distance).
 
     The worst-case join size is the product of per-group Bell numbers;
-    a budget refusal reports the offending bound.
+    a budget refusal (`BudgetExceeded`) reports the offending bound.
     """
     groups = list(inst.groups)
     bound = 1
     for g in groups:
         bound *= bell_number(len(g))
     if bound > budget and not override:
-        raise ValueError(
+        raise BudgetExceeded(
             f"per-group Bell-number product {bound} exceeds budget {budget}; "
-            "pass override=True or raise the budget"
+            "pass override=True or raise the budget",
+            bound,
+            budget,
         )
 
     cal_sets = {g.members: calibrated_set(inst, g, override=override) for g in groups}

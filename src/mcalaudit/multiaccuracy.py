@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .core import Instance, PredictorVec, Subgroup, WitnessError, group_mass, rat
+from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, group_mass, rat
 from .enumeration import is_multiaccurate
 
 __all__ = [
@@ -372,10 +372,8 @@ def _dma_problem(inst: Instance) -> LPProblem:
     return LPProblem(objective, tuple(constraints), tuple(bounds))
 
 
-def dma(inst: Instance):
+def dma(inst: Instance) -> DistanceResult:
     """Distance to multiaccuracy with an exact LP witness."""
-    from .distances import DistanceResult
-
     sol = lp_solve(_dma_problem(inst))
     if sol.status != "optimal":  # pragma: no cover - g = p* is always feasible
         raise RuntimeError(f"distance LP ended with status {sol.status}")
@@ -385,12 +383,10 @@ def dma(inst: Instance):
     return DistanceResult(value=sol.optimum, witness=witness)
 
 
-def acc_projection(f: PredictorVec, inst: Instance, S: Subgroup):
+def acc_projection(f: PredictorVec, inst: Instance, S: Subgroup) -> DistanceResult:
     """Conditional bias on S together with an explicit nearest unbiased
     predictor: scale f toward the ground truth on the overshooting side by
     the undershoot/overshoot mass ratio; the other side is untouched."""
-    from .distances import DistanceResult
-
     m = inst.marginal
     p = inst.ground_truth
     over = [i for i in S.members if f[i] > p[i]]

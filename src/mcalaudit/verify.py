@@ -75,7 +75,7 @@ class CriterionResult:
 
 
 def _result(slug, limit, started, passed, detail) -> CriterionResult:
-    return CriterionResult(slug, passed, detail, time.time() - started, limit)
+    return CriterionResult(slug, passed, detail, time.perf_counter() - started, limit)
 
 
 def _random_shape(seed: int, n_max: int = 6, k_max: int = 3) -> tuple[int, int]:
@@ -87,7 +87,7 @@ def _random_shape(seed: int, n_max: int = 6, k_max: int = 3) -> tuple[int, int]:
 def check_discontinuity_curve() -> CriterionResult:
     """dmc jumps at the degenerate ground truth while dimc follows the
     continuous 3/10 + alpha/3 curve."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = True
     notes = []
     for alpha in (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
@@ -104,7 +104,7 @@ def check_discontinuity_curve() -> CriterionResult:
 
 def check_metric_hierarchy() -> CriterionResult:
     """wdmc <= dmc <= dimc exactly on 200 seeded random instances."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for s in range(200):
         n, k = _random_shape(s)
         inst = gen_random(n, k, seed=1000 + s)
@@ -121,7 +121,7 @@ def check_metric_hierarchy() -> CriterionResult:
 def check_closure_partition_equivalence() -> CriterionResult:
     """dimc equals dmc over the intersection closure and over the generated
     partition, exactly, on 100 seeded random instances."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for s in range(100):
         n, k = _random_shape(77 + s)
         inst = gen_random(n, k, seed=5000 + s)
@@ -143,7 +143,7 @@ def check_closure_partition_equivalence() -> CriterionResult:
 def check_ground_truth_lipschitz() -> CriterionResult:
     """dimc and per-group dce move by at most the (conditional) l1 shift of
     the ground truth, on 200 random pairs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for s in range(200):
         n, k = _random_shape(9000 + s, n_max=5)
         inst = gen_random(n, k, seed=s)
@@ -164,7 +164,7 @@ def check_ground_truth_lipschitz() -> CriterionResult:
 def check_almost_everywhere_equality() -> CriterionResult:
     """With continuously jittered ground truth, dmc = dimc in at least 99%
     of 500 draws; exceptions are logged with their exact values."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     equal = 0
     for s in range(500):
         n, k = _random_shape(31337 + s, n_max=5)
@@ -183,7 +183,7 @@ def check_almost_everywhere_equality() -> CriterionResult:
 def check_worst_group_local_minimum() -> CriterionResult:
     """The worst-group metric admits a strict local minimum at value eps
     whose nearest improvement lies a constant l1 distance away."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     eps, delta = Fraction(1, 200), Fraction(1, 10)
     inst = gen_wdmc_local_min(eps, delta)
     w, _ = wdmc(inst)
@@ -203,7 +203,7 @@ def check_worst_group_local_minimum() -> CriterionResult:
 def check_ring_discontinuity() -> CriterionResult:
     """Cyclic block instance: multicalibrated yet far from intersection
     multicalibrated; four generated cells."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = gen_ring(1)
     d = dmc(inst).value
     di = dimc(inst).value
@@ -217,7 +217,7 @@ def check_ring_discontinuity() -> CriterionResult:
 def check_calibrated_far_predictor() -> CriterionResult:
     """A predictor at l1 distance 3/20 from the ground truth can still have
     intersection multicalibration distance zero."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = gen_cdmc_example()
     di = dimc(inst).value
     gap = l1_distance(inst.audited, inst.ground_truth, inst.marginal)
@@ -228,7 +228,7 @@ def check_calibrated_far_predictor() -> CriterionResult:
 def check_fibonacci_bias_gap() -> CriterionResult:
     """Worst weighted bias eps but distance to multiaccuracy growing with
     the Fibonacci numbers; per-group biases as constructed."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     notes = []
     ok = True
     for k in (3, 4, 5):
@@ -264,7 +264,7 @@ def _restrict_instance(inst: Instance, S: Subgroup) -> Instance:
 def check_accuracy_lp_correctness() -> CriterionResult:
     """The distance-to-multiaccuracy LP: zero at the ground truth, witness
     always multiaccurate, and the single-group case equals the bias."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     for s in range(100):
         n, k = _random_shape(4242 + s)
         inst = gen_random(n, k, seed=7000 + s)
@@ -286,7 +286,7 @@ def check_accuracy_lp_correctness() -> CriterionResult:
 def check_calibrated_multiaccuracy_discontinuity() -> CriterionResult:
     """Distance to calibrated multiaccuracy: 0 under one ground truth,
     above 1/60 after lowering a single value by 1/100."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst_p, inst_q = gen_dcma_example(Fraction(1, 100))
     vp = dcma(inst_p).value
     vq = dcma(inst_q).value
@@ -299,7 +299,7 @@ def check_calibrated_multiaccuracy_discontinuity() -> CriterionResult:
 def check_low_degree_discontinuity() -> CriterionResult:
     """Degree-2 multicalibration of the constant predictor holds only at
     the degenerate ground truth; the grid brute force stays far away."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     i0 = gen_three_point(0)
     i1 = gen_three_point(Fraction(1, 10))
     deg_ok = is_degree_r_multicalibrated(i0.audited, i0, 2) and not is_degree_r_multicalibrated(
@@ -319,7 +319,7 @@ def check_low_degree_discontinuity() -> CriterionResult:
 def check_estimator_coverage() -> CriterionResult:
     """Interval estimators bracket the exact values in at least 95 of 100
     seeded runs each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = gen_three_point(Fraction(1, 10))
     S2 = inst.groups[1]
     eps, delta = Fraction(1, 50), Fraction(1, 20)
@@ -345,7 +345,7 @@ def check_hypercube_indistinguishability() -> CriterionResult:
     and 1/2 under a sampled indicator ground truth.  The conclusion that
     no small sample distinguishes the two is documented in the README, not
     asserted computationally."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     base, factory = gen_hypercube(4)
     v0 = dimc(base).value
     T = random.Random(14).sample(range(base.n), base.n // 2)

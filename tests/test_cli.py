@@ -204,12 +204,12 @@ def test_estimate_csv_output_file_is_complete(tmp_path):
 
 
 def _audit_with_patched_dimc(tmp_path, monkeypatch, fake):
-    import mcalaudit.cli
+    import mcalaudit.distances
 
     p = tmp_path / "tp.json"
     p.write_text(_tp_json("1/10"))
-    real = mcalaudit.cli.dimc
-    monkeypatch.setattr(mcalaudit.cli, "dimc", lambda inst: fake(inst, real(inst)))
+    real = mcalaudit.distances.dimc
+    monkeypatch.setattr(mcalaudit.distances, "dimc", lambda inst: fake(inst, real(inst)))
     return _run(["audit", str(p), "--metrics", "dimc"])
 
 
@@ -243,9 +243,10 @@ def test_certification_survives_optimized_mode(tmp_path):
         "import sys\n"
         "from fractions import Fraction\n"
         "import mcalaudit.cli as cli\n"
+        "import mcalaudit.distances as distances\n"
         "from mcalaudit import DistanceResult\n"
-        "real = cli.dimc\n"
-        "cli.dimc = lambda inst: DistanceResult(real(inst).value + Fraction(1, 100), real(inst).witness)\n"
+        "real = distances.dimc\n"
+        "distances.dimc = lambda inst: DistanceResult(real(inst).value + Fraction(1, 100), real(inst).witness)\n"
         f"cli.main(['audit', {str(p)!r}, '--metrics', 'dimc'])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -278,3 +279,31 @@ def test_in_process_stdout_is_not_kept_alive(tmp_path):
     del buf
     gc.collect()
     assert ref() is None
+
+
+def test_audit_uncovered_domain_exits_2():
+    inst = '{"n":3,"marginal":["1/3","1/3","1/3"],"p_star":["1/2","1/4","0"],"f":["0","0","0"],"groups":[[0,1]]}'
+    r = _run(["audit", "-"], input=inst)
+    assert r.exit_code == 2, r.output
+    assert "error: groups must cover the domain" in r.output
+    assert _run(["audit", "-", "--metrics", "wdmc,dmc,wdma,dma,dcma"], input=inst).exit_code == 0
+
+
+def test_landscape_honours_the_budget(tmp_path, monkeypatch):
+    monkeypatch.setenv("MCAL_AUDIT_BUDGET", "1")
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    r = _run(["landscape", str(p), "--metric", "dmc", "--trials", "1"])
+    assert r.exit_code == 3, r.output
+    assert "error: budget refusal: per-group Bell-number product 4 exceeds budget 1" in r.output
+
+
+def test_landscape_dcma(tmp_path):
+    p = tmp_path / "dcma.json"
+    assert _run(["generate", "--family", "dcma", "-o", str(p)]).exit_code == 0
+    r = _run(["landscape", str(p), "--metric", "dcma", "--trials", "5"])
+    assert r.exit_code == 0, r.output
+    payload = json.loads(r.output)
+    assert payload["metric"] == "dcma" and payload["trials"] == 5
+    audit = json.loads(_run(["audit", str(p), "--metrics", "dcma"]).output)
+    assert payload["baseline"] == audit["metrics"]["dcma"]["value"]

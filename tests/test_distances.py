@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcalaudit import (
+    BudgetExceeded,
     PredictorVec,
     Subgroup,
     SubgroupCollection,
@@ -21,6 +24,7 @@ from mcalaudit import (
     local_min_probe,
     wdmc,
 )
+from mcalaudit.distances import CLOSURE_CEILING, METRICS, certify
 from mcalaudit.instances import (
     gen_cdmc_example,
     gen_dcma_example,
@@ -202,3 +206,33 @@ def test_dce_conditional_lipschitz_in_ground_truth():
     for S in base.groups:
         shift = conditional_l1(i1.ground_truth, i2.ground_truth, base.marginal, S)
         assert abs(dce(i1, S).value - dce(i2, S).value) <= shift
+
+
+def test_closure_ceiling_refusal_is_typed():
+    C = SubgroupCollection([[i] for i in range(21)])
+    with pytest.raises(BudgetExceeded, match="exceeds closure ceiling") as info:
+        intersection_closure(C)
+    assert (info.value.bound, info.value.budget) == (21, CLOSURE_CEILING)
+
+
+@st.composite
+def _random_shapes(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.integers(1, min(n, 3))), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(_random_shapes())
+def test_every_metric_computes_and_its_witness_certifies(shape):
+    n, k, seed = shape
+    inst = gen_random(n, k, seed=seed)
+    values = {}
+    for name, (compute, target) in METRICS.items():
+        r = compute(inst, 10_000_000)
+        values[name], witness = r
+        if target is None:
+            assert witness in inst.groups
+        else:
+            certify(name, r, inst)
+    assert values["wdmc"] <= values["dmc"] <= values["dimc"]
+    assert values["wdma"] <= values["dma"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mcalaudit import (
+    BudgetExceeded,
     Subgroup,
     SubgroupCollection,
     bell_number,
@@ -14,7 +15,7 @@ from mcalaudit import (
     multicalibrated_set,
     partitions,
 )
-from mcalaudit.enumeration import complete_predictor
+from mcalaudit.enumeration import PARTITION_CEILING, complete_predictor
 from mcalaudit.instances import gen_random, gen_three_point
 
 
@@ -163,3 +164,20 @@ def test_degree_r_multicalibration():
     assert not is_degree_r_multicalibrated(shifted.audited, shifted, 2)
     with pytest.raises(ValueError):
         is_degree_r_multicalibrated(inst.audited, inst, 0)
+
+
+def test_partition_ceiling_refusal_is_typed():
+    with pytest.raises(BudgetExceeded, match="exceeds the partition ceiling") as info:
+        next(partitions(13))
+    assert (info.value.bound, info.value.budget) == (13, PARTITION_CEILING)
+    with pytest.raises(ValueError) as info:
+        next(partitions(0))
+    assert not isinstance(info.value, BudgetExceeded)
+
+
+def test_bell_product_refusal_is_typed():
+    inst = gen_three_point(0)  # groups of 2 points each: Bell(2)^2 = 4
+    with pytest.raises(BudgetExceeded, match="exceeds budget 3") as info:
+        multicalibrated_set(inst, budget=3)
+    assert (info.value.bound, info.value.budget) == (4, 3)
+    assert len(multicalibrated_set(inst, budget=4)) == 2
