@@ -6,7 +6,6 @@ from .core import (
     Instance,
     Marginal,
     PredictorVec,
-    Rational,
     Subgroup,
     SubgroupCollection,
     WitnessError,
@@ -34,7 +33,6 @@ from .distances import (
     wdmc,
 )
 from .enumeration import (
-    CalibratedSet,
     SetPartition,
     bell_number,
     calibrated_set,
@@ -45,7 +43,7 @@ from .enumeration import (
     multicalibrated_set,
     partitions,
 )
-from .estimators import IntervalEstimate, dce_interval, dimc_interval, sample, smce_empirical
+from .estimators import IntervalEstimate, dce_interval, dimc_interval, smce_empirical
 from .instances import (
     gen_cdmc_example,
     gen_dcma_example,
@@ -57,6 +55,6 @@ from .instances import (
     gen_wdmc_local_min,
     jitter_ground_truth,
 )
-from .multiaccuracy import LPProblem, LPSolution, acc_projection, bias, dma, lp_solve, wdma
+from .multiaccuracy import LPProblem, LPSolution, bias, dma, lp_solve, wdma
 
 __version__ = "1.0.0"

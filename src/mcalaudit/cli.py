@@ -27,6 +27,7 @@ from .core import (
     BudgetExceeded,
     Instance,
     Subgroup,
+    _rat_str,
     dump_instance,
     instance_from_dict,
     l1_distance,
@@ -36,6 +37,7 @@ from .core import (
 )
 from .distances import METRICS, certify, local_min_probe
 from .enumeration import (
+    DEFAULT_BUDGET,
     calibrated_set,
     is_calibrated,
     is_degree_r_multicalibrated,
@@ -62,8 +64,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = 10_000_000
-
 
 def _echo(message: str, err: bool = False) -> None:
     """click.echo to the current sys.stdout or sys.stderr.  Without an
@@ -81,12 +81,13 @@ def _budget() -> int:
         if value < 1:
             raise ValueError
     except ValueError:
-        raise click.ClickException(f"MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}")
+        _echo(f"error: MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}", err=True)
+        sys.exit(EXIT_INPUT)
     return value
 
 
 def _rat_json(x: Fraction) -> dict:
-    return {"rational": f"{x.numerator}/{x.denominator}", "decimal": to_decimal(x)}
+    return {"rational": _rat_str(x), "decimal": to_decimal(x)}
 
 
 def _load(path: str) -> Instance:
@@ -247,14 +248,11 @@ def cmd_enumerate(instance, which, group, pretty, output):
                 sys.exit(EXIT_INPUT)
             S = _group_by_index(inst, group)
             cs = calibrated_set(inst, S)
-            rows = [[f"{v.numerator}/{v.denominator}" for v in cand] for cand in cs]
+            rows = [[_rat_str(v) for v in cand] for cand in cs]
             payload = {"set": "cal", "group": list(S.members), "count": len(rows), "predictors": rows}
         else:
             mc = multicalibrated_set(inst, budget=_budget())
-            rows = [
-                [None if v is None else f"{v.numerator}/{v.denominator}" for v in cand]
-                for cand in mc
-            ]
+            rows = [[None if v is None else _rat_str(v) for v in cand] for cand in mc]
             payload = {"set": "mcal", "count": len(rows), "predictors": rows}
     except BudgetExceeded as e:
         _echo(f"error: budget refusal: {e}", err=True)

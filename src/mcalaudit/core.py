@@ -15,12 +15,9 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
-
-Rational = Fraction
+from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
-    "Rational",
     "rat",
     "FiniteDomain",
     "Marginal",
@@ -123,19 +120,11 @@ class PredictorVec:
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 
-    def restrict(self, S: "Subgroup") -> tuple[Fraction, ...]:
-        """Values on S, in S's member order."""
-        return tuple(self.values[i] for i in S.members)
-
     def with_values(self, updates: dict[int, Fraction]) -> "PredictorVec":
         vals = list(self.values)
         for i, v in updates.items():
             vals[i] = rat(v)
         return PredictorVec(vals)
-
-    @classmethod
-    def constant(cls, n: int, v) -> "PredictorVec":
-        return cls([rat(v)] * n)
 
 
 @dataclass(frozen=True)
@@ -154,9 +143,6 @@ class Subgroup:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
 
     def __iter__(self):
         return iter(self.members)

@@ -40,6 +40,7 @@ from .core import (
     l1_distance,
 )
 from .enumeration import (
+    DEFAULT_BUDGET,
     _ClassTables,
     calibrated_set,
     complete_predictor,
@@ -82,7 +83,7 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
     predictor off S.  Ties are broken by the lexicographically smallest
     restricted value vector, found by a search along the optimal branches.
     """
-    t = _ClassTables(inst, S, False)
+    t = _ClassTables(inst, S)
     f = inst.audited
     fs = [f[x] for x in S.members]
     full = (1 << t.k) - 1
@@ -164,7 +165,7 @@ def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
     return best_val, best_group
 
 
-def dmc(inst: Instance, budget: int = 10_000_000) -> DistanceResult:
+def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Distance to multicalibration: min l1 distance over mcal_C(D).
 
     Coordinates uncovered by the groups are unconstrained in every
@@ -183,12 +184,11 @@ def dmc(inst: Instance, budget: int = 10_000_000) -> DistanceResult:
     return DistanceResult(value=best, witness=best_witness)
 
 
-def intersection_closure(C: SubgroupCollection, override: bool = False) -> SubgroupCollection:
+def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
     """All non-empty intersections of non-empty subfamilies of C."""
-    if len(C) > CLOSURE_CEILING and not override:
+    if len(C) > CLOSURE_CEILING:
         raise BudgetExceeded(
-            f"collection size {len(C)} exceeds closure ceiling {CLOSURE_CEILING}; "
-            "pass override=True to proceed",
+            f"collection size {len(C)} exceeds closure ceiling {CLOSURE_CEILING}",
             len(C),
             CLOSURE_CEILING,
         )
@@ -210,11 +210,9 @@ def intersection_closure(C: SubgroupCollection, override: bool = False) -> Subgr
 @dataclass(frozen=True)
 class GeneratedPartition:
     """Disjoint cover of the domain by maximal sets with identical
-    group-membership signatures; origin[i] lists the group indices whose
-    intersection generates cell i."""
+    group-membership signatures."""
 
     cells: tuple[Subgroup, ...]
-    origin: tuple[tuple[int, ...], ...]
 
 
 def generated_partition(C: SubgroupCollection, n: int) -> GeneratedPartition:
@@ -227,11 +225,7 @@ def generated_partition(C: SubgroupCollection, n: int) -> GeneratedPartition:
     for x in range(n):
         sig = tuple(i for i, ms in enumerate(member_sets) if x in ms)
         signature.setdefault(sig, []).append(x)
-    items = sorted(signature.items(), key=lambda kv: kv[1][0])
-    return GeneratedPartition(
-        cells=tuple(Subgroup(xs) for _, xs in items),
-        origin=tuple(sig for sig, _ in items),
-    )
+    return GeneratedPartition(tuple(Subgroup(xs) for xs in sorted(signature.values())))
 
 
 def dimc(inst: Instance) -> DistanceResult:
@@ -407,7 +401,7 @@ def local_min_probe(
     radius: Fraction,
     trials: int,
     seed: int,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> ProbeReport:
     """Randomly probe the loss landscape of a metric around the audited
     predictor.

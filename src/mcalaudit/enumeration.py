@@ -16,7 +16,7 @@ lowest bit (two integer additions and one exact division per mask).
 `calibrated_set` streams partitions as tuples of class masks and
 deduplicates candidates as integer keys built from the ranks of the class
 means; `distances.dce` runs an O(3^k) subset DP over the same tables.
-Both refuse k > PARTITION_CEILING unless overridden, as `partitions` does.
+Both refuse k > PARTITION_CEILING, as `partitions` does.
 
 Multicalibrated predictors are assembled by joining per-group calibrated
 sets under agreement on overlaps.
@@ -30,15 +30,18 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterator, Optional
 
-from .core import BudgetExceeded, Instance, PredictorVec, Subgroup, group_mass
+from .core import BudgetExceeded, Instance, PredictorVec, Subgroup
 
 # Bell(12) = 4,213,597; beyond this the partition stream is impractical.
 PARTITION_CEILING = 12
+# Default bound on the per-group Bell-number product of the
+# multicalibration join (`multicalibrated_set`).
+DEFAULT_BUDGET = 10_000_000
 
 __all__ = [
     "PARTITION_CEILING",
+    "DEFAULT_BUDGET",
     "SetPartition",
-    "CalibratedSet",
     "bell_number",
     "partitions",
     "is_calibrated",
@@ -61,19 +64,6 @@ class SetPartition:
 
     classes: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for c in self.classes:
-            if not c:
-                raise ValueError("empty class")
-            if seen & set(c):
-                raise ValueError("classes must be disjoint")
-            seen.update(c)
-        if seen != set(range(len(seen))):
-            raise ValueError("classes must cover a 0..k-1 range")
-        if list(self.classes) != sorted(self.classes, key=lambda c: c[0]):
-            raise ValueError("classes must be sorted by smallest element")
-
     @property
     def k(self) -> int:
         return sum(len(c) for c in self.classes)
@@ -93,27 +83,26 @@ def bell_number(k: int) -> int:
     return row[-1]
 
 
-def _check_ceiling(k: int, override: bool) -> None:
+def _check_ceiling(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > PARTITION_CEILING and not override:
+    if k > PARTITION_CEILING:
         raise BudgetExceeded(
             f"k={k} exceeds the partition ceiling {PARTITION_CEILING} "
-            f"(Bell({PARTITION_CEILING}) = {bell_number(PARTITION_CEILING)}); "
-            "pass override=True to proceed anyway",
+            f"(Bell({PARTITION_CEILING}) = {bell_number(PARTITION_CEILING)})",
             k,
             PARTITION_CEILING,
         )
 
 
-def partitions(k: int, override: bool = False) -> Iterator[SetPartition]:
+def partitions(k: int) -> Iterator[SetPartition]:
     """Yield every set partition of {0..k-1} exactly once.
 
     Enumerates restricted growth strings: position i gets a class label in
     {0..max(labels[:i])+1}.  Canonical order, Bell(k) partitions in total.
-    Refuses k > PARTITION_CEILING unless override is set.
+    Refuses k > PARTITION_CEILING.
     """
-    _check_ceiling(k, override)
+    _check_ceiling(k)
     labels = [0] * k
 
     def emit() -> SetPartition:
@@ -150,24 +139,6 @@ def is_calibrated(f: PredictorVec, inst: Instance, S: Subgroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CalibratedSet:
-    """All perfectly calibrated predictors on a subgroup, up to restriction.
-
-    Each entry of `predictors` is a value tuple aligned with
-    subgroup.members order.
-    """
-
-    predictors: tuple[tuple[Fraction, ...], ...]
-    subgroup: Subgroup
-
-    def __len__(self) -> int:
-        return len(self.predictors)
-
-    def __iter__(self):
-        return iter(self.predictors)
-
-
 class _ClassTables:
     """Per-class figures for every non-empty class of a subgroup's k members.
 
@@ -184,10 +155,10 @@ class _ClassTables:
     the value vectors do, lexicographically.
     """
 
-    def __init__(self, inst: Instance, S: Subgroup, override: bool):
+    def __init__(self, inst: Instance, S: Subgroup):
         members = S.members
         k = len(members)
-        _check_ceiling(k, override)  # before any allocation
+        _check_ceiling(k)  # before any allocation
         m = inst.marginal
         p = inst.ground_truth
         ms = [m[x] for x in members]
@@ -230,8 +201,8 @@ class _ClassTables:
         return tuple(means[(key >> w * (k - 1 - j)) & digit] for j in range(k))
 
 
-def calibrated_set(inst: Instance, S: Subgroup, override: bool = False) -> CalibratedSet:
-    """Enumerate cal(D|S) exactly.
+def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], ...]:
+    """Enumerate cal(D|S) exactly, as value tuples in S.members order.
 
     Streams every partition of S as class masks: the lowest remaining
     member joins each subset of the other remaining members in turn.  Each
@@ -240,7 +211,7 @@ def calibrated_set(inst: Instance, S: Subgroup, override: bool = False) -> Calib
     module docstring), so the set is the distinct candidates.  They are
     deduplicated as integer keys and decoded once, in sorted order.
     """
-    t = _ClassTables(inst, S, override)
+    t = _ClassTables(inst, S)
     code = t.code
     found: set[int] = set()
 
@@ -259,11 +230,11 @@ def calibrated_set(inst: Instance, S: Subgroup, override: bool = False) -> Calib
             sub = (sub - 1) & others
 
     rec((1 << t.k) - 1, 0)
-    return CalibratedSet(tuple(t.values(key) for key in sorted(found)), S)
+    return tuple(t.values(key) for key in sorted(found))
 
 
 def multicalibrated_set(
-    inst: Instance, budget: int = 10_000_000, override: bool = False
+    inst: Instance, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[Optional[Fraction], ...]]:
     """Enumerate mcal_C(D) exactly via a compatibility join.
 
@@ -279,15 +250,15 @@ def multicalibrated_set(
     bound = 1
     for g in groups:
         bound *= bell_number(len(g))
-    if bound > budget and not override:
+    if bound > budget:
         raise BudgetExceeded(
             f"per-group Bell-number product {bound} exceeds budget {budget}; "
-            "pass override=True or raise the budget",
+            "raise the budget (MCAL_AUDIT_BUDGET in the CLI)",
             bound,
             budget,
         )
 
-    cal_sets = {g.members: calibrated_set(inst, g, override=override) for g in groups}
+    cal_sets = {g.members: calibrated_set(inst, g) for g in groups}
 
     # Join order: most overlap with already-joined coordinates first, to
     # prune inconsistent tuples early.

@@ -20,8 +20,7 @@ point masses, then a binomial per point for the labels, and for dimc
 first a multinomial over the generated cells.  This has the law of
 drawing every sample one by one, with O(batches x points) variates and
 memory, however many draws the interval takes.  Seeded outputs differ from
-versions that drew individual samples at the same seed; `sample` still
-draws one by one.
+versions that drew individual samples at the same seed.
 
 The asymptotic constants behind the sample bounds are not pinned down by
 theory; the defaults here are batch size ceil(4/eps^2) and batch count
@@ -39,31 +38,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Instance, Subgroup, group_mass, rat, to_decimal
+from .core import Instance, Subgroup, group_mass, rat
 from .distances import generated_partition
 from .multiaccuracy import LPProblem, lp_solve
 
 __all__ = [
-    "LabeledSample",
     "IntervalEstimate",
-    "sample",
     "smce_empirical",
     "dce_interval",
     "dimc_interval",
 ]
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    prediction: Fraction
-    label: int
-    group_bits: tuple[bool, ...] = ()
-
-    def __post_init__(self):
-        if not Fraction(0) <= self.prediction <= Fraction(1):
-            raise ValueError("prediction must lie in [0, 1]")
-        if self.label not in (0, 1):
-            raise ValueError("label must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -81,11 +65,6 @@ class IntervalEstimate:
     upper_decimal: str
     confidence: Fraction
     samples_used: int
-
-    @property
-    def upper_float(self) -> float:
-        a, b = self.upper_terms
-        return 4.0 * math.sqrt(a) + math.sqrt(b)
 
     def contains(self, value) -> bool:
         value = rat(value)
@@ -112,19 +91,6 @@ def _upper_decimal(a: Fraction, b: Fraction, digits: int = 30) -> str:
 
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
-def sample(inst: Instance, m: int, seed) -> list[tuple[int, int]]:
-    """m i.i.d. draws (x index, Bernoulli label) from the instance."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    rng = _rng(seed)
-    probs = np.array([float(p) for p in inst.marginal.probs])
-    probs /= probs.sum()
-    xs = rng.choice(inst.n, size=m, p=probs)
-    pstar = np.array([float(v) for v in inst.ground_truth.values])
-    labels = (rng.random(m) < pstar[xs]).astype(int)
-    return list(zip(xs.tolist(), labels.tolist()))
 
 
 def _smce_from_counts(
@@ -158,20 +124,14 @@ def _smce_from_counts(
 
 
 def smce_empirical(samples) -> Fraction:
-    """Empirical 1-Lipschitz-dual lower-dCE statistic of a sample list.
-
-    Accepts (prediction, label) pairs or LabeledSample objects.
-    """
+    """Empirical 1-Lipschitz-dual lower-dCE statistic of a list of
+    (prediction, label) pairs."""
     agg: dict[Fraction, list[int]] = {}
     total = 0
-    for s in samples:
-        if isinstance(s, LabeledSample):
-            pred, label = s.prediction, s.label
-        else:
-            pred, label = rat(s[0]), int(s[1])
-        entry = agg.setdefault(pred, [0, 0])
+    for pred, label in samples:
+        entry = agg.setdefault(rat(pred), [0, 0])
         entry[0] += 1
-        entry[1] += label
+        entry[1] += int(label)
         total += 1
     if total == 0:
         raise ValueError("at least one sample required")

@@ -16,7 +16,6 @@ from .core import (
     Instance,
     Marginal,
     PredictorVec,
-    Subgroup,
     SubgroupCollection,
     rat,
 )

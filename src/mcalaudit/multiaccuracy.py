@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, group_mass, rat
+from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, _rat_str, group_mass
 from .enumeration import is_multiaccurate
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "bias",
     "wdma",
     "dma",
-    "acc_projection",
 ]
 
 Bound = tuple[Optional[Fraction], Optional[Fraction]]
@@ -71,18 +70,15 @@ class LPProblem:
                 raise ValueError(f"unknown relation {rel!r}")
 
     def to_json(self) -> str:
-        def s(x):
-            return f"{x.numerator}/{x.denominator}"
-
         return json.dumps(
             {
-                "objective": [s(c) for c in self.objective],
+                "objective": [_rat_str(c) for c in self.objective],
                 "constraints": [
-                    {"coeffs": [s(c) for c in coeffs], "rel": rel, "rhs": s(b)}
+                    {"coeffs": [_rat_str(c) for c in coeffs], "rel": rel, "rhs": _rat_str(b)}
                     for coeffs, rel, b in self.constraints
                 ],
                 "bounds": [
-                    [None if lo is None else s(lo), None if hi is None else s(hi)]
+                    [None if lo is None else _rat_str(lo), None if hi is None else _rat_str(hi)]
                     for lo, hi in self.bounds
                 ],
             },
@@ -381,27 +377,3 @@ def dma(inst: Instance) -> DistanceResult:
     if not is_multiaccurate(witness, inst):
         raise WitnessError("dma witness is not multiaccurate")
     return DistanceResult(value=sol.optimum, witness=witness)
-
-
-def acc_projection(f: PredictorVec, inst: Instance, S: Subgroup) -> DistanceResult:
-    """Conditional bias on S together with an explicit nearest unbiased
-    predictor: scale f toward the ground truth on the overshooting side by
-    the undershoot/overshoot mass ratio; the other side is untouched."""
-    m = inst.marginal
-    p = inst.ground_truth
-    over = [i for i in S.members if f[i] > p[i]]
-    under = [i for i in S.members if f[i] < p[i]]
-    mass = group_mass(m, S)
-    alpha = sum((m[i] * (f[i] - p[i]) for i in over), Fraction(0)) / mass
-    beta = sum((m[i] * (p[i] - f[i]) for i in under), Fraction(0)) / mass
-    if alpha >= beta:
-        side, big, small = over, alpha, beta
-    else:
-        side, big, small = under, beta, alpha
-    value = big - small
-    if big == 0:
-        return DistanceResult(value=Fraction(0), witness=f)
-    t = small / big
-    updates = {i: t * f[i] + (1 - t) * p[i] for i in side}
-    witness = f.with_values(updates)
-    return DistanceResult(value=value, witness=witness)

@@ -1,18 +1,21 @@
 """Acceptance harness: one check per claim, shared by the CLI and tests.
 
 Each criterion function performs its checks with exact arithmetic (or, for
-the statistical ones, seeded sampling), and returns a CriterionResult with
-a pass flag, a human-readable detail string, and the elapsed time checked
-against the criterion's runtime budget.
+the statistical ones, seeded sampling) and returns a pass flag and a
+human-readable detail string.  `_criterion` states the criterion's slug and
+runtime budget once, registers it in CRITERIA, and turns that pair into a
+CriterionResult with the elapsed time checked against the budget.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     FiniteDomain,
@@ -23,7 +26,6 @@ from .core import (
     SubgroupCollection,
     conditional_l1,
     l1_distance,
-    validate,
 )
 from .distances import (
     dce,
@@ -74,8 +76,25 @@ class CriterionResult:
         return self.passed and self.within_budget
 
 
-def _result(slug, limit, started, passed, detail) -> CriterionResult:
-    return CriterionResult(slug, passed, detail, time.perf_counter() - started, limit)
+CRITERIA: list[Callable[[], CriterionResult]] = []
+
+
+def _criterion(slug: str, limit: float):
+    """Register a check as the next acceptance criterion.  The check
+    returns (passed, detail); the registered function times it and
+    reports it as a CriterionResult against `limit` seconds."""
+
+    def register(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(slug, passed, detail, time.perf_counter() - t0, limit)
+
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 def _random_shape(seed: int, n_max: int = 6, k_max: int = 3) -> tuple[int, int]:
@@ -84,10 +103,10 @@ def _random_shape(seed: int, n_max: int = 6, k_max: int = 3) -> tuple[int, int]:
     return n, min(rng.randrange(1, k_max + 1), n)
 
 
-def check_discontinuity_curve() -> CriterionResult:
+@_criterion("discontinuity-curve", 1.0)
+def check_discontinuity_curve():
     """dmc jumps at the degenerate ground truth while dimc follows the
     continuous 3/10 + alpha/3 curve."""
-    t0 = time.perf_counter()
     ok = True
     notes = []
     for alpha in (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
@@ -99,12 +118,12 @@ def check_discontinuity_curve() -> CriterionResult:
         if got_dmc != want_dmc or got_dimc != curve:
             ok = False
         notes.append(f"alpha={alpha}: dmc={got_dmc}, dimc={got_dimc}")
-    return _result("discontinuity-curve", 1.0, t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-def check_metric_hierarchy() -> CriterionResult:
+@_criterion("metric-hierarchy", 120.0)
+def check_metric_hierarchy():
     """wdmc <= dmc <= dimc exactly on 200 seeded random instances."""
-    t0 = time.perf_counter()
     for s in range(200):
         n, k = _random_shape(s)
         inst = gen_random(n, k, seed=1000 + s)
@@ -112,16 +131,14 @@ def check_metric_hierarchy() -> CriterionResult:
         d = dmc(inst).value
         di = dimc(inst).value
         if not w <= d <= di:
-            return _result(
-                "metric-hierarchy", 120.0, t0, False, f"violated at seed {s}: {w}, {d}, {di}"
-            )
-    return _result("metric-hierarchy", 120.0, t0, True, "200 instances, ordering exact")
+            return False, f"violated at seed {s}: {w}, {d}, {di}"
+    return True, "200 instances, ordering exact"
 
 
-def check_closure_partition_equivalence() -> CriterionResult:
+@_criterion("closure-partition-equivalence", 120.0)
+def check_closure_partition_equivalence():
     """dimc equals dmc over the intersection closure and over the generated
     partition, exactly, on 100 seeded random instances."""
-    t0 = time.perf_counter()
     for s in range(100):
         n, k = _random_shape(77 + s)
         inst = gen_random(n, k, seed=5000 + s)
@@ -130,20 +147,14 @@ def check_closure_partition_equivalence() -> CriterionResult:
         cells = generated_partition(inst.groups, inst.n).cells
         d_cells = dmc(inst.with_groups(SubgroupCollection(cells))).value
         if not di == d_closure == d_cells:
-            return _result(
-                "closure-partition-equivalence",
-                120.0,
-                t0,
-                False,
-                f"seed {s}: {di} vs {d_closure} vs {d_cells}",
-            )
-    return _result("closure-partition-equivalence", 120.0, t0, True, "100 instances, all equal")
+            return False, f"seed {s}: {di} vs {d_closure} vs {d_cells}"
+    return True, "100 instances, all equal"
 
 
-def check_ground_truth_lipschitz() -> CriterionResult:
+@_criterion("ground-truth-lipschitz", 120.0)
+def check_ground_truth_lipschitz():
     """dimc and per-group dce move by at most the (conditional) l1 shift of
     the ground truth, on 200 random pairs."""
-    t0 = time.perf_counter()
     for s in range(200):
         n, k = _random_shape(9000 + s, n_max=5)
         inst = gen_random(n, k, seed=s)
@@ -151,20 +162,18 @@ def check_ground_truth_lipschitz() -> CriterionResult:
         i2 = jitter_ground_truth(inst, seed=2 * s + 1)
         shift = l1_distance(i1.ground_truth, i2.ground_truth, inst.marginal)
         if abs(dimc(i1).value - dimc(i2).value) > shift:
-            return _result("ground-truth-lipschitz", 120.0, t0, False, f"dimc at seed {s}")
+            return False, f"dimc at seed {s}"
         for S in inst.groups:
             cshift = conditional_l1(i1.ground_truth, i2.ground_truth, inst.marginal, S)
             if abs(dce(i1, S).value - dce(i2, S).value) > cshift:
-                return _result(
-                    "ground-truth-lipschitz", 120.0, t0, False, f"dce at seed {s}, S={S.members}"
-                )
-    return _result("ground-truth-lipschitz", 120.0, t0, True, "200 pairs, bounds hold exactly")
+                return False, f"dce at seed {s}, S={S.members}"
+    return True, "200 pairs, bounds hold exactly"
 
 
-def check_almost_everywhere_equality() -> CriterionResult:
+@_criterion("almost-everywhere-equality", 120.0)
+def check_almost_everywhere_equality():
     """With continuously jittered ground truth, dmc = dimc in at least 99%
     of 500 draws; exceptions are logged with their exact values."""
-    t0 = time.perf_counter()
     equal = 0
     for s in range(500):
         n, k = _random_shape(31337 + s, n_max=5)
@@ -175,15 +184,13 @@ def check_almost_everywhere_equality() -> CriterionResult:
             equal += 1
         else:
             logger.warning("dmc=%s != dimc=%s at jitter seed %s", d, di, s)
-    return _result(
-        "almost-everywhere-equality", 120.0, t0, equal >= 495, f"equal on {equal}/500 draws"
-    )
+    return equal >= 495, f"equal on {equal}/500 draws"
 
 
-def check_worst_group_local_minimum() -> CriterionResult:
+@_criterion("worst-group-local-minimum", 60.0)
+def check_worst_group_local_minimum():
     """The worst-group metric admits a strict local minimum at value eps
     whose nearest improvement lies a constant l1 distance away."""
-    t0 = time.perf_counter()
     eps, delta = Fraction(1, 200), Fraction(1, 10)
     inst = gen_wdmc_local_min(eps, delta)
     w, _ = wdmc(inst)
@@ -191,44 +198,36 @@ def check_worst_group_local_minimum() -> CriterionResult:
     at_truth, _ = wdmc(inst.with_audited(inst.ground_truth))
     gap = l1_distance(inst.audited, inst.ground_truth, inst.marginal)
     ok = w == eps and not probe.decreased and at_truth == 0 and gap == delta
-    return _result(
-        "worst-group-local-minimum",
-        60.0,
-        t0,
-        ok,
-        f"wdmc(f)={w}, probe decrease={probe.decreased}, wdmc(p*)={at_truth}, l1(f,p*)={gap}",
-    )
+    return ok, f"wdmc(f)={w}, probe decrease={probe.decreased}, wdmc(p*)={at_truth}, l1(f,p*)={gap}"
 
 
-def check_ring_discontinuity() -> CriterionResult:
+@_criterion("ring-discontinuity", 10.0)
+def check_ring_discontinuity():
     """Cyclic block instance: multicalibrated yet far from intersection
     multicalibrated; four generated cells."""
-    t0 = time.perf_counter()
     inst = gen_ring(1)
     d = dmc(inst).value
     di = dimc(inst).value
     cells = generated_partition(inst.groups, inst.n).cells
     ok = d == 0 and di == Fraction(3, 10) and len(cells) == 4
-    return _result(
-        "ring-discontinuity", 10.0, t0, ok, f"dmc={d}, dimc={di}, cells={len(cells)}"
-    )
+    return ok, f"dmc={d}, dimc={di}, cells={len(cells)}"
 
 
-def check_calibrated_far_predictor() -> CriterionResult:
+@_criterion("calibrated-far-predictor", 10.0)
+def check_calibrated_far_predictor():
     """A predictor at l1 distance 3/20 from the ground truth can still have
     intersection multicalibration distance zero."""
-    t0 = time.perf_counter()
     inst = gen_cdmc_example()
     di = dimc(inst).value
     gap = l1_distance(inst.audited, inst.ground_truth, inst.marginal)
     ok = di == 0 and gap == Fraction(3, 20)
-    return _result("calibrated-far-predictor", 10.0, t0, ok, f"dimc={di}, l1(f,p*)={gap}")
+    return ok, f"dimc={di}, l1(f,p*)={gap}"
 
 
-def check_fibonacci_bias_gap() -> CriterionResult:
+@_criterion("fibonacci-bias-gap", 60.0)
+def check_fibonacci_bias_gap():
     """Worst weighted bias eps but distance to multiaccuracy growing with
     the Fibonacci numbers; per-group biases as constructed."""
-    t0 = time.perf_counter()
     notes = []
     ok = True
     for k in (3, 4, 5):
@@ -244,7 +243,7 @@ def check_fibonacci_bias_gap() -> CriterionResult:
         if not (w == eps and d >= bound and biases_ok):
             ok = False
         notes.append(f"k={k}: wdma={w}, dma={d} >= {bound}")
-    return _result("fibonacci-bias-gap", 60.0, t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
 def _restrict_instance(inst: Instance, S: Subgroup) -> Instance:
@@ -261,45 +260,41 @@ def _restrict_instance(inst: Instance, S: Subgroup) -> Instance:
     )
 
 
-def check_accuracy_lp_correctness() -> CriterionResult:
+@_criterion("accuracy-lp-correctness", 60.0)
+def check_accuracy_lp_correctness():
     """The distance-to-multiaccuracy LP: zero at the ground truth, witness
     always multiaccurate, and the single-group case equals the bias."""
-    t0 = time.perf_counter()
     for s in range(100):
         n, k = _random_shape(4242 + s)
         inst = gen_random(n, k, seed=7000 + s)
         at_truth = dma(inst.with_audited(inst.ground_truth))
         if at_truth.value != 0:
-            return _result("accuracy-lp-correctness", 60.0, t0, False, f"dma(p*)!=0 at seed {s}")
+            return False, f"dma(p*)!=0 at seed {s}"
         r = dma(inst)
         if not is_multiaccurate(r.witness, inst):
-            return _result("accuracy-lp-correctness", 60.0, t0, False, f"bad witness at seed {s}")
+            return False, f"bad witness at seed {s}"
         S = list(inst.groups)[s % len(inst.groups)]
         sub = _restrict_instance(inst, S)
         if dma(sub).value != bias(inst.audited, inst, S):
-            return _result(
-                "accuracy-lp-correctness", 60.0, t0, False, f"single-group mismatch at seed {s}"
-            )
-    return _result("accuracy-lp-correctness", 60.0, t0, True, "100 instances, LP consistent")
+            return False, f"single-group mismatch at seed {s}"
+    return True, "100 instances, LP consistent"
 
 
-def check_calibrated_multiaccuracy_discontinuity() -> CriterionResult:
+@_criterion("calibrated-multiaccuracy-discontinuity", 10.0)
+def check_calibrated_multiaccuracy_discontinuity():
     """Distance to calibrated multiaccuracy: 0 under one ground truth,
     above 1/60 after lowering a single value by 1/100."""
-    t0 = time.perf_counter()
     inst_p, inst_q = gen_dcma_example(Fraction(1, 100))
     vp = dcma(inst_p).value
     vq = dcma(inst_q).value
     ok = vp == 0 and vq > Fraction(1, 60)
-    return _result(
-        "calibrated-multiaccuracy-discontinuity", 10.0, t0, ok, f"before={vp}, after={vq}"
-    )
+    return ok, f"before={vp}, after={vq}"
 
 
-def check_low_degree_discontinuity() -> CriterionResult:
+@_criterion("low-degree-discontinuity", 60.0)
+def check_low_degree_discontinuity():
     """Degree-2 multicalibration of the constant predictor holds only at
     the degenerate ground truth; the grid brute force stays far away."""
-    t0 = time.perf_counter()
     i0 = gen_three_point(0)
     i1 = gen_three_point(Fraction(1, 10))
     deg_ok = is_degree_r_multicalibrated(i0.audited, i0, 2) and not is_degree_r_multicalibrated(
@@ -307,19 +302,13 @@ def check_low_degree_discontinuity() -> CriterionResult:
     )
     r = dmc_lowdeg_bruteforce(i1, 2, 100)
     ok = deg_ok and r.value >= Fraction(3, 10)
-    return _result(
-        "low-degree-discontinuity",
-        60.0,
-        t0,
-        ok,
-        f"degree-2 at 0/0.1: {deg_ok}; grid distance {r.value} (threshold {r.threshold})",
-    )
+    return ok, f"degree-2 at 0/0.1: {deg_ok}; grid distance {r.value} (threshold {r.threshold})"
 
 
-def check_estimator_coverage() -> CriterionResult:
+@_criterion("estimator-coverage", 600.0)
+def check_estimator_coverage():
     """Interval estimators bracket the exact values in at least 95 of 100
     seeded runs each."""
-    t0 = time.perf_counter()
     inst = gen_three_point(Fraction(1, 10))
     S2 = inst.groups[1]
     eps, delta = Fraction(1, 50), Fraction(1, 20)
@@ -330,48 +319,25 @@ def check_estimator_coverage() -> CriterionResult:
     )
     dimc_hits = sum(dimc_interval(inst, eps, delta, seed=s).contains(exact_dimc) for s in range(100))
     ok = dce_hits >= 95 and dimc_hits >= 95
-    return _result(
-        "estimator-coverage",
-        600.0,
-        t0,
+    return (
         ok,
         f"dce covered {dce_hits}/100 (target {exact_dce}), "
         f"dimc covered {dimc_hits}/100 (target {exact_dimc})",
     )
 
 
-def check_hypercube_indistinguishability() -> CriterionResult:
+@_criterion("hypercube-indistinguishability", 10.0)
+def check_hypercube_indistinguishability():
     """Hypercube family: intersection metric 0 under the fair ground truth
     and 1/2 under a sampled indicator ground truth.  The conclusion that
     no small sample distinguishes the two is documented in the README, not
     asserted computationally."""
-    t0 = time.perf_counter()
     base, factory = gen_hypercube(4)
     v0 = dimc(base).value
     T = random.Random(14).sample(range(base.n), base.n // 2)
     vt = dimc(factory(T)).value
     ok = v0 == 0 and vt == Fraction(1, 2)
-    return _result(
-        "hypercube-indistinguishability", 10.0, t0, ok, f"base={v0}, indicator({sorted(T)})={vt}"
-    )
-
-
-CRITERIA = [
-    check_discontinuity_curve,
-    check_metric_hierarchy,
-    check_closure_partition_equivalence,
-    check_ground_truth_lipschitz,
-    check_almost_everywhere_equality,
-    check_worst_group_local_minimum,
-    check_ring_discontinuity,
-    check_calibrated_far_predictor,
-    check_fibonacci_bias_gap,
-    check_accuracy_lp_correctness,
-    check_calibrated_multiaccuracy_discontinuity,
-    check_low_degree_discontinuity,
-    check_estimator_coverage,
-    check_hypercube_indistinguishability,
-]
+    return ok, f"base={v0}, indicator({sorted(T)})={vt}"
 
 
 def run_suite() -> list[CriterionResult]:

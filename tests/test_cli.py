@@ -307,3 +307,43 @@ def test_landscape_dcma(tmp_path):
     assert payload["metric"] == "dcma" and payload["trials"] == 5
     audit = json.loads(_run(["audit", str(p), "--metrics", "dcma"]).output)
     assert payload["baseline"] == audit["metrics"]["dcma"]["value"]
+
+
+@pytest.mark.parametrize("raw", ["zero", "0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["audit", "--metrics", "wdmc"],
+        ["enumerate", "--set", "mcal"],
+        ["landscape", "--metric", "wdmc", "--trials", "1"],
+    ],
+    ids=["audit", "enumerate-mcal", "landscape"],
+)
+def test_malformed_budget_env_is_an_input_error(tmp_path, monkeypatch, command, raw):
+    monkeypatch.setenv("MCAL_AUDIT_BUDGET", raw)
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    r = _run([command[0], str(p), *command[1:]])
+    assert r.exit_code == 2, r.output
+    assert f"error: MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}\n" in r.output
+
+
+def test_refusals_give_no_override_advice(tmp_path, monkeypatch):
+    n = 13
+    inst = {"n": n, "marginal": [f"1/{n}"] * n, "p_star": ["1/2"] * n, "f": ["0"] * n, "groups": [list(range(n))]}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(inst))
+    r = _run(["enumerate", str(big), "--set", "cal", "--group", "0"])
+    assert r.exit_code == 3
+    assert r.output == "error: budget refusal: k=13 exceeds the partition ceiling 12 (Bell(12) = 4213597)\n"
+
+    monkeypatch.setenv("MCAL_AUDIT_BUDGET", "1")
+    tp = tmp_path / "tp.json"
+    tp.write_text(_tp_json("0"))
+    join = "per-group Bell-number product 4 exceeds budget 1; raise the budget (MCAL_AUDIT_BUDGET in the CLI)"
+    r = _run(["enumerate", str(tp), "--set", "mcal"])
+    assert r.exit_code == 3
+    assert r.output == f"error: budget refusal: {join}\n"
+    r = _run(["audit", str(tp), "--metrics", "dmc"])
+    assert json.loads(r.output)["metrics"]["dmc"] == {"refused": join}
+    assert "override" not in r.output

@@ -136,4 +136,3 @@ def test_with_values_and_restrict():
     w = v.with_values({1: Fraction(1, 8)})
     assert w.values == (Fraction(1, 2), Fraction(1, 8), Fraction(3, 4))
     assert v.values[1] == Fraction(1, 4)  # original untouched
-    assert v.restrict(Subgroup([0, 2])) == (Fraction(1, 2), Fraction(3, 4))

@@ -36,9 +36,6 @@ def test_partitions_count_and_uniqueness(k):
 def test_partitions_ceiling():
     with pytest.raises(ValueError):
         next(partitions(13))
-    # override lets the stream start
-    gen = partitions(13, override=True)
-    assert next(gen).k == 13
 
 
 def test_is_calibrated_three_point():
@@ -134,7 +131,6 @@ def test_multicalibrated_set_budget_refusal():
     inst = gen_three_point(0)
     with pytest.raises(ValueError, match="budget"):
         multicalibrated_set(inst, budget=1)
-    assert len(multicalibrated_set(inst, budget=1, override=True)) == 2
 
 
 def test_uncovered_coordinates_are_free():

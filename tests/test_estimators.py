@@ -11,7 +11,6 @@ from mcalaudit import (
     dce_interval,
     dimc,
     dimc_interval,
-    sample,
     smce_empirical,
 )
 import mcalaudit.estimators
@@ -25,7 +24,6 @@ from mcalaudit.core import (
 )
 from mcalaudit.distances import generated_partition
 from mcalaudit.estimators import (
-    LabeledSample,
     _statistics_from_counts,
     default_batch_count,
     default_batch_size,
@@ -33,16 +31,6 @@ from mcalaudit.estimators import (
 from mcalaudit.instances import gen_cdmc_example, gen_three_point, gen_wdmc_local_min
 
 F = Fraction
-
-
-def test_sample_shape_and_determinism():
-    inst = gen_three_point(F(1, 10))
-    s1 = sample(inst, 500, seed=3)
-    s2 = sample(inst, 500, seed=3)
-    assert s1 == s2
-    assert len(s1) == 500
-    assert all(0 <= x < inst.n and y in (0, 1) for x, y in s1)
-    assert sample(inst, 500, seed=4) != s1
 
 
 def test_smce_perfectly_calibrated_sample():
@@ -67,11 +55,6 @@ def test_smce_lipschitz_coupling():
     # per-point scores are w0*(1-0)=w0... maximize (w0*1 + w1*(-1))/2 with
     # |w1-w0|<=1, w in [-1,1]: w0=1, w1=0 gives 1/2
     assert v == F(1, 2)
-
-
-def test_smce_accepts_labeled_samples():
-    ls = [LabeledSample(F(1, 2), 1), LabeledSample(F(1, 2), 0)]
-    assert smce_empirical(ls) == 0
 
 
 def test_smce_empty_rejected():
@@ -105,7 +88,6 @@ def test_interval_contains_exact_boundary_arithmetic():
     assert est.contains(F(1))
     assert not est.contains(F(1001, 1000))
     assert not est.contains(F(-1, 1000))
-    assert est.upper_float == 1.0
 
 
 def test_interval_contains_mixed_terms():

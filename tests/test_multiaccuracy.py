@@ -7,7 +7,6 @@ from mcalaudit import (
     LPProblem,
     PredictorVec,
     Subgroup,
-    acc_projection,
     bias,
     dma,
     is_multiaccurate,
@@ -189,22 +188,6 @@ def test_dma_fibonacci_lower_bound():
         inst = gen_fibonacci(k, eps)
         assert wdma(inst)[0] == eps
         assert dma(inst).value >= F(fibonacci_number(k + 1)) * eps / 3
-
-
-def test_acc_projection_matches_single_group_dma():
-    for seed in range(10):
-        inst = gen_random(4, 1, seed=seed, uniform_marginal=True)
-        S = inst.groups[0]
-        r = acc_projection(inst.audited, inst, S)
-        assert r.value == bias(inst.audited, inst, S)
-        assert bias(r.witness, inst, S) == 0
-
-
-def test_acc_projection_no_bias_returns_input():
-    inst = gen_three_point(0)
-    r = acc_projection(inst.audited, inst, inst.groups[0])
-    assert r.value == 0
-    assert r.witness == inst.audited
 
 
 def test_dma_problem_shape():
