@@ -21,7 +21,6 @@ from .core import (
 )
 from .distances import (
     DistanceResult,
-    GeneratedPartition,
     dce,
     dcma,
     dimc,

@@ -55,7 +55,6 @@ __all__ = [
     "DistanceResult",
     "METRICS",
     "certify",
-    "GeneratedPartition",
     "LowDegreeSearchResult",
     "ProbeReport",
     "dce",
@@ -78,10 +77,11 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
     Minimizes the conditional l1 distance over cal(D|S), as a min-cost set
     partition of S: class C costs sum_{x in C} m(x)|f(x) - mean(C)|, the
     cost of giving C its class mean.  A subset DP over the class tables
-    finds the cheapest partition in O(3^k) integer steps without listing
-    cal(D|S).  The witness is a global vector agreeing with the audited
-    predictor off S.  Ties are broken by the lexicographically smallest
-    restricted value vector, found by a search along the optimal branches.
+    finds the cheapest partition in exactly O(3^k) integer steps without
+    listing cal(D|S).  The witness is a global vector agreeing with the
+    audited predictor off S.  Among the cheapest partitions it takes the
+    lexicographically smallest restricted value vector; the DP score
+    carries that vector's key in its low bits, so ties cost nothing extra.
     """
     t = _ClassTables(inst, S)
     f = inst.audited
@@ -94,6 +94,12 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
     E = lcm(*(v.denominator for v in fs))
     weight = [t.mass[1 << j] * (E // v.denominator) for j, v in enumerate(fs)]
     L = lcm(*t.mass[1:])
+    # Below the cost sit W bits holding the class's share of the value key:
+    # the shares of disjoint classes add without a carry past W bits, so the
+    # least score is the cheapest partition and, among those, the one whose
+    # value vector is lexicographically smallest.
+    W = t.width * t.k
+    code = t.code
     cost = [0] * (full + 1)
     for C in range(1, full + 1):
         mc, nc = t.mass[C], t.num[C]
@@ -104,10 +110,10 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
             bits ^= low
             j = low.bit_length() - 1
             total += weight[j] * abs(fs[j].numerator * mc - fs[j].denominator * nc)
-        cost[C] = total * (L // mc)
+        cost[C] = (total * (L // mc) << W) + code[C]
 
-    # best[R]: the cheapest partition of R; its class holding R's lowest
-    # member is that member plus some subset of the rest.
+    # best[R]: the least score of a partition of R; its class holding R's
+    # lowest member is that member plus some subset of the rest.
     best = [0] * (full + 1)
     for R in range(1, full + 1):
         low = R & -R
@@ -121,48 +127,18 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
                 b = c
         best[R] = b
 
-    # The smallest key among optimal partitions: follow only classes with
-    # cost[C] + best[R ^ C] == best[R], cheapest key first, and prune any
-    # branch whose partial key already reaches the best complete one.
-    code = t.code
-    best_key: list[Optional[int]] = [None]
-
-    def rec(R: int, key: int):
-        if best_key[0] is not None and key >= best_key[0]:
-            return
-        if not R:
-            best_key[0] = key
-            return
-        low = R & -R
-        rest = R ^ low
-        options = []
-        sub = rest
-        while True:
-            C = sub | low
-            if cost[C] + best[rest ^ sub] == best[R]:
-                options.append((key + code[C], rest ^ sub))
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        for next_key, left in sorted(options):
-            rec(left, next_key)
-
-    rec(full, 0)
-    values = t.values(best_key[0])
+    values = t.values(best[full] & ((1 << W) - 1))
     witness = f.with_values({x: values[j] for j, x in enumerate(S.members)})
-    return DistanceResult(value=Fraction(best[full], E * L * t.mass[full]), witness=witness)
+    return DistanceResult(value=Fraction(best[full] >> W, E * L * t.mass[full]), witness=witness)
 
 
 def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted conditional distance to calibration."""
-    best_val: Optional[Fraction] = None
-    best_group: Optional[Subgroup] = None
-    for S in inst.groups:
-        v = group_mass(inst.marginal, S) * dce(inst, S).value
-        if best_val is None or v > best_val:
-            best_val = v
-            best_group = S
-    return best_val, best_group
+    # max returns the first of several maximal groups.
+    return max(
+        ((group_mass(inst.marginal, S) * dce(inst, S).value, S) for S in inst.groups),
+        key=lambda vs: vs[0],
+    )
 
 
 def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
@@ -170,18 +146,13 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
 
     Coordinates uncovered by the groups are unconstrained in every
     multicalibrated predictor, so the witness copies the audited predictor
-    there and they contribute zero.
+    there and they contribute zero.  Among the minima the witness is the
+    lexicographically smallest completed vector.
     """
     f = inst.audited
-    best: Optional[Fraction] = None
-    best_witness = None
-    for cand in multicalibrated_set(inst, budget=budget):
-        g = complete_predictor(cand, f)
-        d = l1_distance(f, g, inst.marginal)
-        if best is None or d < best or (d == best and g.values < best_witness.values):
-            best = d
-            best_witness = g
-    return DistanceResult(value=best, witness=best_witness)
+    completed = (complete_predictor(cand, f) for cand in multicalibrated_set(inst, budget=budget))
+    value, values = min((l1_distance(f, g, inst.marginal), g.values) for g in completed)
+    return DistanceResult(value=value, witness=PredictorVec(values))
 
 
 def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
@@ -207,17 +178,10 @@ def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
     return SubgroupCollection(sorted(closed))
 
 
-@dataclass(frozen=True)
-class GeneratedPartition:
-    """Disjoint cover of the domain by maximal sets with identical
-    group-membership signatures."""
-
-    cells: tuple[Subgroup, ...]
-
-
-def generated_partition(C: SubgroupCollection, n: int) -> GeneratedPartition:
-    """Partition generated by C: each point's cell is determined by the set
-    of groups containing it.  Requires C to cover the domain."""
+def generated_partition(C: SubgroupCollection, n: int) -> tuple[Subgroup, ...]:
+    """Cells of the partition generated by C: the maximal sets of points
+    with identical group-membership signatures, in order of their least
+    member.  Requires C to cover the domain."""
     if not C.covers(n):
         raise ValueError("groups must cover the domain to generate a partition")
     signature: dict[tuple[int, ...], list[int]] = {}
@@ -225,7 +189,7 @@ def generated_partition(C: SubgroupCollection, n: int) -> GeneratedPartition:
     for x in range(n):
         sig = tuple(i for i, ms in enumerate(member_sets) if x in ms)
         signature.setdefault(sig, []).append(x)
-    return GeneratedPartition(tuple(Subgroup(xs) for xs in sorted(signature.values())))
+    return tuple(Subgroup(xs) for xs in sorted(signature.values()))
 
 
 def dimc(inst: Instance) -> DistanceResult:
@@ -235,10 +199,9 @@ def dimc(inst: Instance) -> DistanceResult:
     conditional distance to calibration on the cell.  The witness is
     assembled cell by cell from the per-cell witnesses.
     """
-    part = generated_partition(inst.groups, inst.n)
     total = Fraction(0)
     witness = inst.audited
-    for cell in part.cells:
+    for cell in generated_partition(inst.groups, inst.n):
         r = dce(inst, cell)
         total += group_mass(inst.marginal, cell) * r.value
         witness = witness.with_values({x: r.witness[x] for x in cell.members})
@@ -251,8 +214,8 @@ def dcma(inst: Instance) -> DistanceResult:
     Scores every member of cal(D) in integers: with the marginal's products
     over one common denominator `scale` and the candidate values over
     another, Q, each group's bias and the l1 distance to f are integer
-    sums.  cal(D) comes sorted, so the first cheapest member found is the
-    lexicographically smallest.
+    sums.  Among the cheapest members the witness is the lexicographically
+    smallest.
     """
     n = inst.n
     m, p, f = inst.marginal, inst.ground_truth, inst.audited
@@ -264,17 +227,14 @@ def dcma(inst: Instance) -> DistanceResult:
     targets = [
         (S.members, sum((m[x] * p[x] * scale).numerator for x in S.members) * Q) for S in inst.groups
     ]
-    best: Optional[int] = None
-    best_cand = None
-    for cand in cs:
-        mv = [M[x] * v.numerator * (Q // v.denominator) for x, v in enumerate(cand)]
-        if any(sum(mv[x] for x in members) != target for members, target in targets):
-            continue
-        d = sum(abs(fq[x] - mv[x]) for x in range(n))
-        if best is None or d < best:
-            best = d
-            best_cand = cand
+    scored = (
+        (sum(abs(fq[x] - mv[x]) for x in range(n)), cand)
+        for cand in cs
+        for mv in [[M[x] * v.numerator * (Q // v.denominator) for x, v in enumerate(cand)]]
+        if all(sum(mv[x] for x in members) == target for members, target in targets)
+    )
     # p* is always calibrated and multiaccurate, so the set is non-empty.
+    best, best_cand = min(scored)
     return DistanceResult(value=Fraction(best, scale * Q), witness=PredictorVec(best_cand))
 
 
@@ -361,7 +321,7 @@ METRICS = {
     "dmc": (lambda inst, budget: dmc(inst, budget), lambda w, inst: is_multicalibrated(w, inst)),
     "dimc": (
         lambda inst, budget: dimc(inst),
-        lambda w, inst: all(is_calibrated(w, inst, c) for c in generated_partition(inst.groups, inst.n).cells),
+        lambda w, inst: all(is_calibrated(w, inst, c) for c in generated_partition(inst.groups, inst.n)),
     ),
     "wdma": (lambda inst, budget: wdma(inst), None),
     "dma": (lambda inst, budget: dma(inst), lambda w, inst: is_multiaccurate(w, inst)),

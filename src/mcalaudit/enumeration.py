@@ -324,13 +324,15 @@ def is_multiaccurate(f: PredictorVec, inst: Instance) -> bool:
 def is_degree_r_multicalibrated(f: PredictorVec, inst: Instance, r: int) -> bool:
     """Degree-r multicalibration: on every group, the residual f - p* is
     orthogonal to every polynomial weight w(f(x)) of degree < r.  Checking
-    the monomials t^j for 0 <= j < r suffices by linearity."""
+    the monomials t^j for 0 <= j < r suffices by linearity, and on a group
+    where f takes d distinct values the monomials below degree d already
+    span every weight, so j stops at min(r, d)."""
     if r < 1:
         raise ValueError("r must be >= 1")
     m = inst.marginal
     p = inst.ground_truth
     for S in inst.groups:
-        for j in range(r):
+        for j in range(min(r, len({f[i] for i in S.members}))):
             total = sum(
                 (m[i] * f[i] ** j * (f[i] - p[i]) for i in S.members), Fraction(0)
             )

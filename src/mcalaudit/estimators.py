@@ -258,8 +258,7 @@ def dimc_interval(
     eps, delta = rat(eps), rat(delta)
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ValueError("eps and delta must lie in (0, 1)")
-    part = generated_partition(inst.groups, inst.n)
-    cells = part.cells
+    cells = generated_partition(inst.groups, inst.n)
     ell = len(cells)
     masses = [group_mass(inst.marginal, c) for c in cells]
     gamma = min(masses)

@@ -328,14 +328,11 @@ def bias(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
 
 def wdma(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted bias of the audited predictor."""
-    best_val = None
-    best_group = None
-    for S in inst.groups:
-        v = group_mass(inst.marginal, S) * bias(inst.audited, inst, S)
-        if best_val is None or v > best_val:
-            best_val = v
-            best_group = S
-    return best_val, best_group
+    # max returns the first of several maximal groups.
+    return max(
+        ((group_mass(inst.marginal, S) * bias(inst.audited, inst, S), S) for S in inst.groups),
+        key=lambda vs: vs[0],
+    )
 
 
 def _dma_problem(inst: Instance) -> LPProblem:

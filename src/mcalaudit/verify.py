@@ -144,7 +144,7 @@ def check_closure_partition_equivalence():
         inst = gen_random(n, k, seed=5000 + s)
         di = dimc(inst).value
         d_closure = dmc(inst.with_groups(intersection_closure(inst.groups))).value
-        cells = generated_partition(inst.groups, inst.n).cells
+        cells = generated_partition(inst.groups, inst.n)
         d_cells = dmc(inst.with_groups(SubgroupCollection(cells))).value
         if not di == d_closure == d_cells:
             return False, f"seed {s}: {di} vs {d_closure} vs {d_cells}"
@@ -208,7 +208,7 @@ def check_ring_discontinuity():
     inst = gen_ring(1)
     d = dmc(inst).value
     di = dimc(inst).value
-    cells = generated_partition(inst.groups, inst.n).cells
+    cells = generated_partition(inst.groups, inst.n)
     ok = d == 0 and di == Fraction(3, 10) and len(cells) == 4
     return ok, f"dmc={d}, dimc={di}, cells={len(cells)}"
 

@@ -22,9 +22,12 @@ from mcalaudit import (
     is_multicalibrated,
     l1_distance,
     local_min_probe,
+    wdma,
     wdmc,
 )
+from mcalaudit.core import instance_from_dict
 from mcalaudit.distances import CLOSURE_CEILING, METRICS, certify
+from mcalaudit.enumeration import complete_predictor, multicalibrated_set
 from mcalaudit.instances import (
     gen_cdmc_example,
     gen_dcma_example,
@@ -59,12 +62,31 @@ def test_wdmc_three_point():
     assert group.members == (1, 2)
 
 
+def test_wdmc_and_wdma_report_the_first_of_tied_groups():
+    # {0,1} and {2,3} are mirror images, so both groups score 1/8 in each
+    quarter = Fraction(1, 4)
+    d = {"n": 4, "marginal": [quarter] * 4, "p_star": [0, 1, 0, 1], "groups": [[0, 1], [2, 3]], "f": [quarter] * 4}
+    for groups in ([[0, 1], [2, 3]], [[2, 3], [0, 1]]):
+        inst = instance_from_dict({**d, "groups": groups})
+        first = inst.groups[0]
+        assert wdmc(inst) == (Fraction(1, 8), first)
+        assert wdma(inst) == (Fraction(1, 8), first)
+
+
 def test_dmc_witness_is_multicalibrated():
+    tied = 0
     for seed in range(10):
         inst = gen_random(4, 2, seed=seed)
         r = dmc(inst)
         assert is_multicalibrated(r.witness, inst)
         assert r.value == l1_distance(inst.audited, r.witness, inst.marginal)
+        # among several minima the witness is the smallest completed vector
+        f = inst.audited
+        completed = (complete_predictor(c, f) for c in multicalibrated_set(inst))
+        minima = [g.values for g in completed if l1_distance(f, g, inst.marginal) == r.value]
+        assert r.witness.values == min(minima)
+        tied += len(minima) > 1
+    assert tied >= 2
 
 
 def test_intersection_closure_adds_overlaps():
@@ -81,8 +103,8 @@ def test_intersection_closure_ceiling():
 
 def test_generated_partition_three_point():
     inst = gen_three_point(0)
-    part = generated_partition(inst.groups, inst.n)
-    assert {c.members for c in part.cells} == {(0,), (1,), (2,)}
+    cells = generated_partition(inst.groups, inst.n)
+    assert {c.members for c in cells} == {(0,), (1,), (2,)}
 
 
 def test_generated_partition_requires_cover():
@@ -94,26 +116,25 @@ def test_generated_partition_requires_cover():
 def test_generated_partition_cells_disjoint_cover():
     for seed in range(20):
         inst = gen_random(6, 3, seed=seed)
-        part = generated_partition(inst.groups, inst.n)
         seen = []
-        for c in part.cells:
+        for c in generated_partition(inst.groups, inst.n):
             seen.extend(c.members)
         assert sorted(seen) == list(range(inst.n))
 
 
 def test_dimc_decomposition_matches_cellwise_sum():
     inst = gen_three_point(Fraction(1, 10))
-    part = generated_partition(inst.groups, inst.n)
+    cells = generated_partition(inst.groups, inst.n)
     total = sum(
         (
             sum((inst.marginal[x] for x in c.members), Fraction(0)) * dce(inst, c).value
-            for c in part.cells
+            for c in cells
         ),
         Fraction(0),
     )
     r = dimc(inst)
     assert r.value == total == Fraction(1, 3)
-    for c in part.cells:
+    for c in cells:
         assert is_calibrated(r.witness, inst, c)
 
 
@@ -121,7 +142,7 @@ def test_ring_instance_gap():
     inst = gen_ring(1)
     assert dmc(inst).value == 0
     assert dimc(inst).value == Fraction(3, 10)
-    assert len(generated_partition(inst.groups, inst.n).cells) == 4
+    assert len(generated_partition(inst.groups, inst.n)) == 4
 
 
 def test_ring_larger_blocks():

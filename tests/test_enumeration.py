@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from mcalaudit import (
     BudgetExceeded,
+    PredictorVec,
     Subgroup,
     SubgroupCollection,
     bell_number,
@@ -160,6 +162,18 @@ def test_degree_r_multicalibration():
     assert not is_degree_r_multicalibrated(shifted.audited, shifted, 2)
     with pytest.raises(ValueError):
         is_degree_r_multicalibrated(inst.audited, inst, 0)
+
+
+def test_degree_r_stops_at_the_distinct_values_of_f():
+    # On d distinct values the monomials below degree d span every weight,
+    # so a huge r answers as r = n does, without computing its powers.
+    for alpha in (Fraction(0), Fraction(1, 10)):
+        inst = gen_three_point(alpha)
+        for f in (inst.audited, inst.ground_truth, PredictorVec([Fraction(1, 5), Fraction(1, 2), Fraction(3, 4)])):
+            start = time.perf_counter()
+            huge = is_degree_r_multicalibrated(f, inst, 10**6)
+            assert time.perf_counter() - start < 1
+            assert huge == is_degree_r_multicalibrated(f, inst, inst.n)
 
 
 def test_partition_ceiling_refusal_is_typed():

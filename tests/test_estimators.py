@@ -282,7 +282,7 @@ def test_point_estimates_follow_the_marginal_and_the_cells():
             pairs += [(inst.audited[x], 1)] * ones + [(inst.audited[x], 0)] * (n - ones)
         return smce_empirical(pairs)
 
-    cells = generated_partition(inst.groups, inst.n).cells
+    cells = generated_partition(inst.groups, inst.n)
     theta = sum(group_mass(inst.marginal, c) * population(c.members) for c in cells)
     eps, delta = F(1, 50), F(1, 20)
     # A batch statistic of 10000 draws has a spread of about 1/200; the

@@ -1,6 +1,6 @@
-"""The package's public surface resolves and no module imports a name it
-does not use.  Standard library only: `ast` reads the sources, `importlib`
-loads the modules."""
+"""The package's public surface resolves, no module imports a name it
+does not use, and no source file under src/ uses `assert`.  Standard
+library only: `ast` reads the sources, `importlib` loads the modules."""
 
 import ast
 import importlib
@@ -50,3 +50,13 @@ def test_every_imported_name_is_used(stem):
     used.update(getattr(module, "__all__", ()))  # a re-export is a use
     unused = [name for name in _from_imports(tree) if name not in used]
     assert not unused, f"mcalaudit.{stem} imports unused names: {unused}"
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # Checks must survive `python -O`, which strips assert statements.
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert at lines {lines}; raise an exception instead"
