@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -42,7 +42,6 @@ from .enumeration import (
     is_calibrated,
     is_degree_r_multicalibrated,
     is_multiaccurate,
-    is_multicalibrated,
     multicalibrated_set,
 )
 from .estimators import dce_interval, dimc_interval
@@ -72,6 +71,12 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
+def _fail(message: str, code: int = EXIT_INPUT) -> NoReturn:
+    """Write `error: message` to stderr and exit with `code`."""
+    _echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _budget() -> int:
     raw = os.environ.get("MCAL_AUDIT_BUDGET")
     if raw is None:
@@ -81,8 +86,7 @@ def _budget() -> int:
         if value < 1:
             raise ValueError
     except ValueError:
-        _echo(f"error: MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(f"MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}")
     return value
 
 
@@ -99,13 +103,11 @@ def _load(path: str) -> Instance:
                 data = json.load(fh)
         inst = instance_from_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as e:
-        _echo(f"error: cannot read instance: {e}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(f"cannot read instance: {e}")
     report = validate(inst)
     if not report.valid:
-        for v in report.violations:
-            _echo(f"error: invalid instance: {v}", err=True)
-        sys.exit(EXIT_INPUT)
+        # one error line per violation
+        _fail("\nerror: ".join(f"invalid instance: {v}" for v in report.violations))
     return inst
 
 
@@ -121,18 +123,13 @@ def _emit(payload: dict, output: Optional[str]):
 def _parse_rat(value: str, name: str) -> Fraction:
     try:
         return rat(value)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        _echo(f"error: bad {name}: {e}", err=True)
-        sys.exit(EXIT_INPUT)
+    except (ValueError, TypeError) as e:
+        _fail(f"bad {name}: {e}")
 
 
 def _group_by_index(inst: Instance, index: int) -> Subgroup:
     if not 0 <= index < len(inst.groups):
-        _echo(
-            f"error: group index {index} out of range (instance has {len(inst.groups)} groups)",
-            err=True,
-        )
-        sys.exit(EXIT_INPUT)
+        _fail(f"group index {index} out of range (instance has {len(inst.groups)} groups)")
     return inst.groups[index]
 
 
@@ -164,11 +161,9 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
     requested = [m.strip() for m in metrics.split(",") if m.strip()]
     for m in requested:
         if m not in METRICS:
-            _echo(f"error: unknown metric {m!r}", err=True)
-            sys.exit(EXIT_INPUT)
+            _fail(f"unknown metric {m!r}")
     if degree < 1:
-        _echo("error: --degree must be >= 1", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail("--degree must be >= 1")
     budget = _budget()
 
     report: dict = {"metrics": {}, "membership": {}, "timing_seconds": {}}
@@ -180,8 +175,7 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
         except BudgetExceeded as e:
             entry = {"refused": str(e)}
         except ValueError as e:
-            _echo(f"error: {e}", err=True)
-            sys.exit(EXIT_INPUT)
+            _fail(str(e))
         else:
             value, witness = r
             if target is None:
@@ -193,13 +187,15 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
         report["timing_seconds"][m] = round(time.perf_counter() - t0, 6)
 
     f = inst.audited
-    report["membership"]["calibrated_per_group"] = [
-        is_calibrated(f, inst, S) for S in inst.groups
-    ]
-    report["membership"]["multicalibrated"] = is_multicalibrated(f, inst)
+    per_group = [is_calibrated(f, inst, S) for S in inst.groups]
+    report["membership"]["calibrated_per_group"] = per_group
+    report["membership"]["multicalibrated"] = all(per_group)
     report["membership"]["multiaccurate"] = is_multiaccurate(f, inst)
+    # A group holds at most n distinct values of f, so every r >= n has the
+    # flag of r = n.
+    flags = [is_degree_r_multicalibrated(f, inst, r) for r in range(1, min(degree, inst.n) + 1)]
     report["membership"]["degree_r_multicalibrated"] = {
-        str(r): is_degree_r_multicalibrated(f, inst, r) for r in range(1, degree + 1)
+        str(r): flags[min(r, inst.n) - 1] for r in range(1, degree + 1)
     }
     report["l1_to_ground_truth"] = _rat_json(
         l1_distance(inst.audited, inst.ground_truth, inst.marginal)
@@ -244,8 +240,7 @@ def cmd_enumerate(instance, which, group, pretty, output):
     try:
         if which == "cal":
             if group is None:
-                _echo("error: --set cal requires --group", err=True)
-                sys.exit(EXIT_INPUT)
+                _fail("--set cal requires --group")
             S = _group_by_index(inst, group)
             cs = calibrated_set(inst, S)
             rows = [[_rat_str(v) for v in cand] for cand in cs]
@@ -255,8 +250,7 @@ def cmd_enumerate(instance, which, group, pretty, output):
             rows = [[None if v is None else _rat_str(v) for v in cand] for cand in mc]
             payload = {"set": "mcal", "count": len(rows), "predictors": rows}
     except BudgetExceeded as e:
-        _echo(f"error: budget refusal: {e}", err=True)
-        sys.exit(EXIT_BUDGET)
+        _fail(f"budget refusal: {e}", EXIT_BUDGET)
     if pretty:
         _echo(f"{payload['count']} predictors")
         for row in payload["predictors"]:
@@ -287,12 +281,10 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
     eps_r = _parse_rat(eps, "--eps")
     delta_r = _parse_rat(delta, "--delta")
     if trials < 1:
-        _echo("error: --trials must be >= 1", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail("--trials must be >= 1")
     if metric == "dce":
         if group is None:
-            _echo("error: --metric dce requires --group", err=True)
-            sys.exit(EXIT_INPUT)
+            _fail("--metric dce requires --group")
         S = _group_by_index(inst, group)
         runner = lambda s: dce_interval(inst, S, eps_r, delta_r, seed=s)
     else:
@@ -304,8 +296,7 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
         try:
             est = runner(s)
         except ValueError as e:
-            _echo(f"error: {e}", err=True)
-            sys.exit(EXIT_INPUT)
+            _fail(str(e))
         runs.append(
             {
                 "seed": s,
@@ -380,8 +371,7 @@ def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points
         else:
             inst = gen_random(n_points, n_groups, seed=seed, grid_denominator=grid)
     except ValueError as e:
-        _echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(str(e))
     text = dump_instance(inst)
     if output:
         with open(output, "w") as fh:
@@ -410,11 +400,9 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
     try:
         probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed, _budget())
     except BudgetExceeded as e:
-        _echo(f"error: budget refusal: {e}", err=True)
-        sys.exit(EXIT_BUDGET)
+        _fail(f"budget refusal: {e}", EXIT_BUDGET)
     except ValueError as e:
-        _echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(str(e))
     payload = {
         "metric": probe.metric,
         "baseline": _rat_json(probe.baseline),

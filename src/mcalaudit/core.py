@@ -48,7 +48,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)  # handles both "4/5" and "0.8" exactly
+        try:
+            return Fraction(x)  # handles both "4/5" and "0.8" exactly
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError(f"refusing to convert float {x!r}; pass a string or Fraction")
     raise TypeError(f"cannot interpret {x!r} as a rational")
@@ -317,14 +320,21 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
+def _json_int(v, what: str) -> int:
+    """v itself if it is an int; a float or a bool is refused, not cast."""
+    if type(v) is not int:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def instance_from_dict(d: dict) -> Instance:
-    n = int(d["n"])
+    n = _json_int(d["n"], "n")
     labels = tuple(d["labels"]) if "labels" in d else None
     return Instance(
         domain=FiniteDomain(n, labels),
         marginal=Marginal(d["marginal"]),
         ground_truth=PredictorVec(d["p_star"]),
-        groups=SubgroupCollection(d["groups"]),
+        groups=SubgroupCollection([_json_int(i, "group index") for i in g] for g in d["groups"]),
         audited=PredictorVec(d["f"]),
     )
 

@@ -101,7 +101,9 @@ def _smce_from_counts(
     values must be sorted ascending; n_counts[a] samples carry prediction
     values[a], of which label_sums[a] have label 1.  Maximizes
     (1/m) sum_a w_a (label_sums[a] - n_counts[a] * values[a]) over weight
-    vectors w in [-1,1] that are 1-Lipschitz across adjacent values.
+    vectors w in [-1,1] that are 1-Lipschitz across adjacent values.  The
+    LP runs over w' = w + 1 in [0, 2]: the maximum over w is the maximum
+    over w' less the sum of the coefficients.
     """
     d = len(values)
     coeffs = [Fraction(label_sums[a]) - n_counts[a] * values[a] for a in range(d)]
@@ -116,11 +118,10 @@ def _smce_from_counts(
         gap = values[a + 1] - values[a]
         constraints.append((tuple(row), "<=", gap))
         constraints.append((tuple(-c for c in row), "<=", gap))
-    bounds = tuple([(Fraction(-1), one)] * d)
-    sol = lp_solve(LPProblem(objective, tuple(constraints), bounds))
+    sol = lp_solve(LPProblem(objective, tuple(constraints), (Fraction(2),) * d))
     if sol.status != "optimal":
         raise RuntimeError(f"smce LP ended with status {sol.status}")
-    return -sol.optimum / m
+    return (-sol.optimum - sum(coeffs)) / m
 
 
 def smce_empirical(samples) -> Fraction:

@@ -1,13 +1,14 @@
 """Bias, worst-group bias, and distance to multiaccuracy via an exact LP.
 
 The distance to multiaccuracy is the optimum of a small linear program:
-variables are a candidate predictor g and per-point slack t bounding
-|g - f|; unbiasedness of g on each group is an exact linear equality.
-The program is solved with an exact rational two-phase simplex (Bland's
-rule, so no cycling).  Exactness matters: there are instances on which the
-optimum is exponentially sensitive to perturbations of the unbiasedness
-constraints, so a floating-point solve can be off by far more than
-round-off.
+variables are a candidate predictor g in [0, 1] and per-point slack
+t >= 0 bounding |g - f|; unbiasedness of g on each group is an exact
+linear equality.  `lp_solve` takes every variable non-negative, with an
+optional upper bound each, which it adds as a row.  The program is solved
+with an exact rational two-phase simplex (Bland's rule, so no cycling).
+Exactness matters: there are instances on which the optimum is
+exponentially sensitive to perturbations of the unbiasedness constraints,
+so a floating-point solve can be off by far more than round-off.
 
 The tableau is kept in integer rows: each row is a list of Python ints
 over one positive int denominator, reduced by the gcd of the row after
@@ -29,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, _rat_str, group_mass
 from .enumeration import is_multiaccurate
@@ -43,26 +44,23 @@ __all__ = [
     "dma",
 ]
 
-Bound = tuple[Optional[Fraction], Optional[Fraction]]
-
-
 @dataclass(frozen=True)
 class LPProblem:
-    """min objective . x subject to linear constraints and variable bounds.
+    """min objective . x subject to linear constraints and x >= 0.
 
     Each constraint is (coefficients, relation, rhs) with relation one of
-    "<=", "=", ">=".  Bounds are per-variable (lower, upper); None means
-    unbounded on that side.
+    "<=", "=", ">=".  `upper` holds one upper bound per variable; None
+    means unbounded above.
     """
 
     objective: tuple[Fraction, ...]
     constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    bounds: tuple[Bound, ...]
+    upper: tuple[Optional[Fraction], ...]
 
     def __post_init__(self):
         nv = len(self.objective)
-        if len(self.bounds) != nv:
-            raise ValueError("one bound pair per variable required")
+        if len(self.upper) != nv:
+            raise ValueError("one upper bound per variable required")
         for coeffs, rel, _ in self.constraints:
             if len(coeffs) != nv:
                 raise ValueError("constraint dimension mismatch")
@@ -77,10 +75,7 @@ class LPProblem:
                     {"coeffs": [_rat_str(c) for c in coeffs], "rel": rel, "rhs": _rat_str(b)}
                     for coeffs, rel, b in self.constraints
                 ],
-                "bounds": [
-                    [None if lo is None else _rat_str(lo), None if hi is None else _rat_str(hi)]
-                    for lo, hi in self.bounds
-                ],
+                "upper": [None if hi is None else _rat_str(hi) for hi in self.upper],
             },
             indent=2,
         )
@@ -179,68 +174,26 @@ def _support(row: list[int]) -> list[int]:
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
-    """Exact two-phase simplex.
+    """Exact two-phase simplex over x >= 0.
 
-    General bounds are reduced to x' >= 0 by shifting (finite lower bound),
-    reflecting (upper bound only), or splitting into a difference of two
-    non-negative variables (free).  Finite upper bounds become extra rows.
-    Phase 1 minimizes the sum of artificial variables; a positive phase-1
-    optimum certifies infeasibility.
+    Each finite upper bound becomes a row x_j <= upper_j after the
+    constraints, in variable order.  Phase 1 minimizes the sum of
+    artificial variables; a positive phase-1 optimum certifies
+    infeasibility.
     """
     nv = len(problem.objective)
-
-    # Map each original variable to non-negative solver variables:
-    # value = sign * x_solver + offset, or x_plus - x_minus for free vars.
-    solver_vars = 0
-    mapping: list[tuple[str, int, Fraction]] = []
-    extra_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if lo is not None:
-            mapping.append(("shift", solver_vars, lo))
-            if hi is not None:
-                extra_rows.append(({solver_vars: Fraction(1)}, "<=", hi - lo))
-            solver_vars += 1
-        elif hi is not None:
-            mapping.append(("reflect", solver_vars, hi))
-            solver_vars += 1
-        else:
-            mapping.append(("free", solver_vars, Fraction(0)))
-            solver_vars += 2
-
-    def expand(coeffs: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
-        """Rewrite a row over original variables in solver variables,
-        returning (column coefficients, constant shift moved to the rhs).
-        Each original variable has solver columns of its own."""
-        cols: dict[int, Fraction] = {}
-        shift = Fraction(0)
-        for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            kind, idx, off = mapping[j]
-            if kind == "free":
-                cols[idx] = c
-                cols[idx + 1] = -c
-                continue
-            cols[idx] = c if kind == "shift" else -c
-            if off:
-                shift += c * off
-        return cols, shift
-
-    rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for coeffs, rel, rhs in problem.constraints:
-        cols, shift = expand(coeffs)
-        rows.append((cols, rel, rhs - shift))
-    rows.extend(extra_rows)
-
-    obj_cols, obj_shift = expand(problem.objective)
+    rows: list[tuple[dict[int, Fraction], str, Fraction]] = [
+        ({j: c for j, c in enumerate(coeffs) if c}, rel, rhs) for coeffs, rel, rhs in problem.constraints
+    ]
+    rows.extend(({j: Fraction(1)}, "<=", hi) for j, hi in enumerate(problem.upper) if hi is not None)
 
     # Normalize to non-negative rhs; every row but a "<=" row gets an
-    # artificial column, after the solver and slack columns.
+    # artificial column, after the variable and slack columns.
     for i, (cols, rel, rhs) in enumerate(rows):
         if rhs < 0:
             rows[i] = ({j: -c for j, c in cols.items()}, {"<=": ">=", ">=": "<=", "=": "="}[rel], -rhs)
     nrows = len(rows)
-    total = solver_vars + sum(1 for _, rel, _ in rows if rel != "=")
+    total = nv + sum(1 for _, rel, _ in rows if rel != "=")
     art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != "<="]
     n_art = len(art_rows)
     width = total + n_art
@@ -248,7 +201,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     tab: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
-    slack_at = solver_vars
+    slack_at = nv
     art_at = total
     for cols, rel, rhs in rows:
         entries = {**cols, width: rhs}
@@ -291,7 +244,7 @@ def lp_solve(problem: LPProblem) -> LPSolution:
         for row in tab:
             del row[total:width]
 
-    obj, obj_den = _int_row(obj_cols, total + 1)
+    obj, obj_den = _int_row({j: c for j, c in enumerate(problem.objective) if c}, total + 1)
     for i in range(nrows):
         if basis[i] < total and obj[basis[i]] != 0:
             obj, obj_den = _eliminate(obj, obj_den, tab[i], basis[i], _support(tab[i]))
@@ -301,20 +254,11 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     if status == "unbounded":
         return LPSolution("unbounded", None, ())
 
-    values = [Fraction(0)] * total
+    values = [Fraction(0)] * nv
     for i in range(nrows):
-        if basis[i] < total:
+        if basis[i] < nv:
             values[basis[i]] = Fraction(tab[i][-1], dens[i])
-    assignment = []
-    for kind, idx, off in mapping:
-        if kind == "shift":
-            assignment.append(values[idx] + off)
-        elif kind == "reflect":
-            assignment.append(off - values[idx])
-        else:
-            assignment.append(values[idx] - values[idx + 1])
-    optimum = Fraction(-tab[-1][-1], dens[-1]) + obj_shift
-    return LPSolution("optimal", optimum, tuple(assignment))
+    return LPSolution("optimal", Fraction(-tab[-1][-1], dens[-1]), tuple(values))
 
 
 def bias(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
@@ -361,8 +305,7 @@ def _dma_problem(inst: Instance) -> LPProblem:
         row[i] = -one
         row[n + i] = -one
         constraints.append((tuple(row), "<=", -f[i]))  # -g_i - t_i <= -f_i
-    bounds: list[Bound] = [(zero, one)] * n + [(zero, None)] * n
-    return LPProblem(objective, tuple(constraints), tuple(bounds))
+    return LPProblem(objective, tuple(constraints), (one,) * n + (None,) * n)
 
 
 def dma(inst: Instance) -> DistanceResult:

@@ -347,3 +347,50 @@ def test_refusals_give_no_override_advice(tmp_path, monkeypatch):
     r = _run(["audit", str(tp), "--metrics", "dmc"])
     assert json.loads(r.output)["metrics"]["dmc"] == {"refused": join}
     assert "override" not in r.output
+
+
+def _instance_text(**fields):
+    d = {"n": 2, "marginal": ["1/2", "1/2"], "p_star": ["1/2", "1/2"], "f": ["1/2", "1/2"], "groups": [[0, 1]]}
+    return json.dumps({**d, **fields})
+
+
+def test_audit_zero_denominator_is_an_input_error():
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(marginal=["1/0", "1/2"]))
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: cannot read instance: ")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"n": 2.7}, {"n": True}, {"groups": [[0, 1.9]]}, {"groups": [[0, True]]}],
+    ids=["float-n", "bool-n", "float-index", "bool-index"],
+)
+def test_audit_refuses_non_integer_n_and_group_indices(fields):
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(**fields))
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: cannot read instance: ")
+    assert "must be an integer" in r.output
+
+
+def test_audit_degree_flags_stop_at_the_domain_size(tmp_path, monkeypatch):
+    import mcalaudit.cli as cli
+    from mcalaudit.enumeration import is_degree_r_multicalibrated
+
+    # unbiased on the group (degree 1) but correlated with f (degree >= 2)
+    d = {"n": 3, "marginal": ["1/3"] * 3, "p_star": ["0", "1/2", "1"], "f": ["1/4", "1/2", "3/4"], "groups": [[0, 1, 2]]}
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(d))
+    inst = instance_from_dict(d)
+    calls = []
+
+    def spy(f, inst, r):
+        calls.append(r)
+        return is_degree_r_multicalibrated(f, inst, r)
+
+    monkeypatch.setattr(cli, "is_degree_r_multicalibrated", spy)
+    r = _run(["audit", str(p), "--metrics", "wdma", "--degree", "50"])
+    assert r.exit_code == 0, r.output
+    assert len(calls) <= inst.n
+    flags = json.loads(r.output)["membership"]["degree_r_multicalibrated"]
+    assert flags == {str(r): is_degree_r_multicalibrated(inst.audited, inst, r) for r in range(1, 51)}
+    assert flags["1"] and not flags["2"]

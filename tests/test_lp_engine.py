@@ -10,7 +10,7 @@ wrapping `multiaccuracy._pivot`.
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import mcalaudit.multiaccuracy as ma
 from mcalaudit import LPProblem, LPSolution, lp_solve
+from mcalaudit.estimators import _smce_from_counts
 from mcalaudit.instances import (
     fibonacci_number,
     gen_cdmc_example,
@@ -75,52 +76,15 @@ def _oracle_pivot(tableau, row, col, pivots):
 def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]:
     """Dense-Fraction two-phase simplex; returns the solution and its pivots."""
     pivots: list[tuple[int, int]] = []
-    solver_vars = 0
-    mapping = []
-    extra_rows = []
-    for lo, hi in problem.bounds:
-        if lo is not None:
-            mapping.append(("shift", solver_vars, lo))
-            if hi is not None:
-                extra_rows.append(({solver_vars: F(1)}, "<=", hi - lo))
-            solver_vars += 1
-        elif hi is not None:
-            mapping.append(("reflect", solver_vars, hi))
-            solver_vars += 1
-        else:
-            mapping.append(("free", solver_vars, F(0)))
-            solver_vars += 2
-
-    def expand(coeffs: Sequence[Fraction]):
-        cols: dict[int, Fraction] = {}
-        shift = F(0)
-        for j, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            kind, idx, off = mapping[j]
-            if kind == "shift":
-                cols[idx] = cols.get(idx, F(0)) + c
-                shift += c * off
-            elif kind == "reflect":
-                cols[idx] = cols.get(idx, F(0)) - c
-                shift += c * off
-            else:
-                cols[idx] = cols.get(idx, F(0)) + c
-                cols[idx + 1] = cols.get(idx + 1, F(0)) - c
-        return cols, shift
-
-    rows = []
-    for coeffs, rel, rhs in problem.constraints:
-        cols, shift = expand(coeffs)
-        rows.append((cols, rel, rhs - shift))
-    rows.extend(extra_rows)
-    obj_cols, obj_shift = expand(problem.objective)
+    nv = len(problem.objective)
+    rows = [({j: c for j, c in enumerate(coeffs) if c != 0}, rel, rhs) for coeffs, rel, rhs in problem.constraints]
+    rows += [({j: F(1)}, "<=", hi) for j, hi in enumerate(problem.upper) if hi is not None]
 
     nrows = len(rows)
-    total = solver_vars + sum(1 for _, rel, _ in rows if rel != "=")
+    total = nv + sum(1 for _, rel, _ in rows if rel != "=")
     tableau = []
     basis = []
-    slack_at = solver_vars
+    slack_at = nv
     art_rows = []
     for i, (cols, rel, rhs) in enumerate(rows):
         if rhs < 0:
@@ -174,7 +138,7 @@ def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]
                         break
 
     phase2 = [F(0)] * (width + 1)
-    for j, c in obj_cols.items():
+    for j, c in enumerate(problem.objective):
         phase2[j] = c
     tableau.append(phase2)
     for i in range(nrows):
@@ -188,15 +152,7 @@ def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]
     for i in range(nrows):
         if basis[i] < total:
             values[basis[i]] = tableau[i][-1]
-    assignment = []
-    for kind, idx, off in mapping:
-        if kind == "shift":
-            assignment.append(values[idx] + off)
-        elif kind == "reflect":
-            assignment.append(off - values[idx])
-        else:
-            assignment.append(values[idx] - values[idx + 1])
-    return LPSolution("optimal", -tableau[-1][-1] + obj_shift, tuple(assignment)), pivots
+    return LPSolution("optimal", -tableau[-1][-1], tuple(values[:nv])), pivots
 
 
 def _solve_recording(problem):
@@ -257,6 +213,41 @@ def test_matches_oracle_on_dma_problems(inst):
     assert _check(_dma_problem(inst)).status == "optimal"
 
 
+def _smce_split_lp(values, n_counts, label_sums) -> LPProblem:
+    """The smce LP with each weight w_a = p_a - q_a split into two
+    non-negative columns and its range -1 <= w_a <= 1 written as rows."""
+    d = len(values)
+    coeffs = [F(label_sums[a]) - n_counts[a] * values[a] for a in range(d)]
+
+    def w(pairs):
+        row = [F(0)] * (2 * d)
+        for a, c in pairs:
+            row[a], row[d + a] = F(c), F(-c)
+        return tuple(row)
+
+    constraints = []
+    for a in range(d - 1):
+        gap = values[a + 1] - values[a]
+        constraints += [(w([(a + 1, 1), (a, -1)]), "<=", gap), (w([(a, 1), (a + 1, -1)]), "<=", gap)]
+    for a in range(d):
+        constraints += [(w([(a, 1)]), ">=", F(-1)), (w([(a, 1)]), "<=", F(1))]
+    objective = tuple(-c for c in coeffs) + tuple(coeffs)
+    return LPProblem(objective, tuple(constraints), (None,) * (2 * d))
+
+
+def test_smce_matches_the_lp_with_explicit_lower_rows():
+    rng = random.Random(7)
+    for _ in range(300):
+        d = rng.randrange(1, 5)
+        values = sorted(rng.sample([F(i, 12) for i in range(13)], d))
+        n_counts = [rng.randrange(0, 6) for _ in range(d)]
+        label_sums = [rng.randrange(0, c + 1) for c in n_counts]
+        m = max(1, sum(n_counts))
+        expected, _ = oracle_solve(_smce_split_lp(values, n_counts, label_sums))
+        assert expected.status == "optimal"
+        assert _smce_from_counts(values, n_counts, label_sums, m) == -expected.optimum / m
+
+
 _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -272,13 +263,9 @@ def _lps(draw):
         )
         for _ in range(nc)
     )
-    bounds = []
-    for _ in range(nv):
-        lo = draw(st.one_of(st.none(), st.fractions(-2, 0, max_denominator=3)))
-        hi = draw(st.one_of(st.none(), st.fractions(0, 2, max_denominator=3)))
-        bounds.append((lo, hi))
+    upper = tuple(draw(st.one_of(st.none(), st.fractions(0, 2, max_denominator=3))) for _ in range(nv))
     objective = tuple(draw(_coeff) for _ in range(nv))
-    return LPProblem(objective, constraints, tuple(bounds))
+    return LPProblem(objective, constraints, upper)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -297,7 +284,7 @@ def test_negative_drive_out_pivot():
             ((F(0), F(1), F(1)), ">=", F(1)),
             ((F(1), F(0), F(1)), "<=", F(3)),
         ),
-        bounds=((F(0), None),) * 3,
+        upper=(None,) * 3,
     )
     sol, pivots, signs = _solve_recording(problem)
     assert (0, 0) in pivots and signs[pivots.index((0, 0))] < 0

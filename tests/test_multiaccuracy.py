@@ -25,7 +25,7 @@ def test_lp_simple_optimal():
     p = LPProblem(
         objective=(F(-1), F(-1)),
         constraints=(((F(1), F(1)), "<=", F(3)),),
-        bounds=((F(0), F(2)), (F(0), F(2))),
+        upper=(F(2), F(2)),
     )
     sol = lp_solve(p)
     assert sol.status == "optimal"
@@ -33,25 +33,24 @@ def test_lp_simple_optimal():
     assert sum(sol.assignment) == F(3)
 
 
-def test_lp_equality_and_free_variable():
-    # min x  s.t.  x + y = 1, y free in [-5, 5]? use truly free y
+def test_lp_equality_row():
+    # min x - y  s.t.  x + y = 1, x, y >= 0, no upper bounds
     p = LPProblem(
-        objective=(F(1), F(0)),
+        objective=(F(1), F(-1)),
         constraints=(((F(1), F(1)), "=", F(1)),),
-        bounds=((F(0), None), (None, None)),
+        upper=(None, None),
     )
     sol = lp_solve(p)
     assert sol.status == "optimal"
-    assert sol.optimum == F(0)
-    x, y = sol.assignment
-    assert x + y == F(1)
+    assert sol.optimum == F(-1)
+    assert sol.assignment == (F(0), F(1))
 
 
 def test_lp_infeasible():
     p = LPProblem(
         objective=(F(1),),
         constraints=(((F(1),), ">=", F(2)), ((F(1),), "<=", F(1))),
-        bounds=((F(0), None),),
+        upper=(None,),
     )
     assert lp_solve(p).status == "infeasible"
 
@@ -60,32 +59,23 @@ def test_lp_unbounded():
     p = LPProblem(
         objective=(F(-1),),
         constraints=(((F(0),), "<=", F(1)),),
-        bounds=((F(0), None),),
+        upper=(None,),
     )
     assert lp_solve(p).status == "unbounded"
-
-
-def test_lp_negative_lower_bound_shift():
-    # min x subject to x >= -3 only
-    p = LPProblem(objective=(F(1),), constraints=(), bounds=((F(-3), None),))
-    sol = lp_solve(p)
-    assert sol.status == "optimal"
-    assert sol.optimum == F(-3)
-    assert sol.assignment == (F(-3),)
 
 
 def test_lp_to_json_round_trips_fields():
     import json
 
     p = LPProblem(
-        objective=(F(1, 3),),
-        constraints=(((F(2),), "<=", F(5, 7)),),
-        bounds=((F(0), F(1)),),
+        objective=(F(1, 3), F(0)),
+        constraints=(((F(2), F(1)), "<=", F(5, 7)),),
+        upper=(F(1), None),
     )
     d = json.loads(p.to_json())
-    assert d["objective"] == ["1/3"]
+    assert d["objective"] == ["1/3", "0/1"]
     assert d["constraints"][0]["rhs"] == "5/7"
-    assert d["bounds"] == [["0/1", "1/1"]]
+    assert d["upper"] == ["1/1", None]
 
 
 def _random_lp(rng: random.Random) -> LPProblem:
@@ -99,16 +89,8 @@ def _random_lp(rng: random.Random) -> LPProblem:
         (tuple(coeff() for _ in range(nv)), rng.choice(["<=", "=", ">="]), coeff())
         for _ in range(nc)
     )
-    bounds = []
-    for _ in range(nv):
-        kind = rng.randrange(3)
-        if kind == 0:
-            bounds.append((F(0), None))
-        elif kind == 1:
-            bounds.append((F(-2), F(2)))
-        else:
-            bounds.append((None, None))
-    return LPProblem(tuple(coeff() for _ in range(nv)), constraints, tuple(bounds))
+    upper = tuple(rng.choice((None, F(2))) for _ in range(nv))
+    return LPProblem(tuple(coeff() for _ in range(nv)), constraints, upper)
 
 
 def test_lp_against_scipy_reference():
@@ -136,10 +118,7 @@ def test_lp_against_scipy_reference():
             b_ub=b_ub or None,
             A_eq=a_eq or None,
             b_eq=b_eq or None,
-            bounds=[
-                (None if lo is None else float(lo), None if hi is None else float(hi))
-                for lo, hi in p.bounds
-            ],
+            bounds=[(0, None if hi is None else float(hi)) for hi in p.upper],
             method="highs",
         )
         if ref.status == 0:
