@@ -42,9 +42,11 @@ __all__ = [
 
 
 def rat(x) -> Fraction:
-    """Convert ints, "p/q" strings and decimal strings to an exact Fraction."""
+    """Convert ints (not bools), "p/q" strings and decimal strings to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"refusing to convert bool {x!r}; pass an int, a string or a Fraction")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -132,12 +134,12 @@ class PredictorVec:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A non-empty subset of domain indices, stored sorted and duplicate-free."""
+    """A non-empty subset of int domain indices, stored sorted and duplicate-free."""
 
     members: tuple[int, ...]
 
     def __init__(self, members: Iterable[int]):
-        ms = tuple(sorted(set(int(i) for i in members)))
+        ms = tuple(sorted({_strict_int(i, "group index") for i in members}))
         if not ms:
             raise ValueError("subgroup must be non-empty")
         if ms[0] < 0:
@@ -320,7 +322,7 @@ def instance_to_dict(inst: Instance) -> dict:
     return d
 
 
-def _json_int(v, what: str) -> int:
+def _strict_int(v, what: str) -> int:
     """v itself if it is an int; a float or a bool is refused, not cast."""
     if type(v) is not int:
         raise ValueError(f"{what} must be an integer, got {v!r}")
@@ -328,13 +330,13 @@ def _json_int(v, what: str) -> int:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    n = _json_int(d["n"], "n")
+    n = _strict_int(d["n"], "n")
     labels = tuple(d["labels"]) if "labels" in d else None
     return Instance(
         domain=FiniteDomain(n, labels),
         marginal=Marginal(d["marginal"]),
         ground_truth=PredictorVec(d["p_star"]),
-        groups=SubgroupCollection([_json_int(i, "group index") for i in g] for g in d["groups"]),
+        groups=SubgroupCollection(d["groups"]),
         audited=PredictorVec(d["f"]),
     )
 

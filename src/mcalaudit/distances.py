@@ -15,8 +15,8 @@ computable directly, the decomposition is.
 Cost: dce (and so wdmc per group and dimc per cell) is a min-cost set
 partition of the subgroup, solved by a subset DP over the per-class tables
 of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
-listing the calibrated set.  dcma scores the members of the global
-calibrated set in integers.  Both refuse k above PARTITION_CEILING with
+listing the calibrated set.  dmc and dcma score the members of a listed
+set in integers (`_nearest`).  Both refuse k above PARTITION_CEILING with
 `BudgetExceeded`.  `METRICS` is the one table of the six audited metrics.
 """
 
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     BudgetExceeded,
@@ -43,7 +43,6 @@ from .enumeration import (
     DEFAULT_BUDGET,
     _ClassTables,
     calibrated_set,
-    complete_predictor,
     is_calibrated,
     is_multiaccurate,
     is_multicalibrated,
@@ -143,16 +142,11 @@ def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
 
 def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Distance to multicalibration: min l1 distance over mcal_C(D).
-
-    Coordinates uncovered by the groups are unconstrained in every
-    multicalibrated predictor, so the witness copies the audited predictor
-    there and they contribute zero.  Among the minima the witness is the
-    lexicographically smallest completed vector.
-    """
-    f = inst.audited
-    completed = (complete_predictor(cand, f) for cand in multicalibrated_set(inst, budget=budget))
-    value, values = min((l1_distance(f, g, inst.marginal), g.values) for g in completed)
-    return DistanceResult(value=value, witness=PredictorVec(values))
+    Coordinates no group covers are free in every member, so the witness
+    copies the audited predictor there; ties go to the lexicographically
+    smallest witness.  Calibration on a group implies zero bias on it, so
+    no bias filter runs."""
+    return _nearest(inst, multicalibrated_set(inst, budget=budget), ())
 
 
 def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
@@ -209,33 +203,37 @@ def dimc(inst: Instance) -> DistanceResult:
 
 
 def dcma(inst: Instance) -> DistanceResult:
-    """Distance to the set of globally calibrated, multiaccurate predictors.
+    """Distance to the globally calibrated, multiaccurate predictors: the
+    nearest member of cal(D) with zero bias on every group, ties going to
+    the lexicographically smallest."""
+    return _nearest(inst, calibrated_set(inst, Subgroup(range(inst.n))), inst.groups)
 
-    Scores every member of cal(D) in integers: with the marginal's products
-    over one common denominator `scale` and the candidate values over
-    another, Q, each group's bias and the l1 distance to f are integer
-    sums.  Among the cheapest members the witness is the lexicographically
-    smallest.
-    """
+
+def _nearest(inst: Instance, candidates: Sequence, unbiased_on: Iterable[Subgroup]) -> DistanceResult:
+    """The l1-nearest candidate to f among those with zero bias on every
+    group of `unbiased_on`.  With the marginal's products over one common
+    denominator `scale` and the values over another, Q, every bias and
+    distance is an integer sum.  A None coordinate (one no group covers)
+    takes f's value at cost zero; as every candidate has its Nones at the
+    same places and None == None, the raw tuples break ties as the
+    completed vectors do: the lexicographically smallest wins."""
     n = inst.n
     m, p, f = inst.marginal, inst.ground_truth, inst.audited
-    cs = calibrated_set(inst, Subgroup(range(n)))
     scale = lcm(*(q.denominator for x in range(n) for q in (m[x], m[x] * p[x], m[x] * f[x])))
-    Q = lcm(*{v.denominator for cand in cs for v in cand})
-    M = [(m[x] * scale).numerator for x in range(n)]
+    Q = lcm(*{v.denominator for cand in candidates for v in cand if v is not None})
+    MQ = [(m[x] * scale).numerator * Q for x in range(n)]
     fq = [(m[x] * f[x] * scale).numerator * Q for x in range(n)]
-    targets = [
-        (S.members, sum((m[x] * p[x] * scale).numerator for x in S.members) * Q) for S in inst.groups
-    ]
+    targets = [(S.members, sum((m[x] * p[x] * scale).numerator for x in S.members) * Q) for S in unbiased_on]
     scored = (
         (sum(abs(fq[x] - mv[x]) for x in range(n)), cand)
-        for cand in cs
-        for mv in [[M[x] * v.numerator * (Q // v.denominator) for x, v in enumerate(cand)]]
+        for cand in candidates
+        for mv in [[fq[x] if v is None else MQ[x] * v.numerator // v.denominator for x, v in enumerate(cand)]]
         if all(sum(mv[x] for x in members) == target for members, target in targets)
     )
-    # p* is always calibrated and multiaccurate, so the set is non-empty.
+    # p* (off the None coordinates) is an unbiased candidate: `scored` is non-empty.
     best, best_cand = min(scored)
-    return DistanceResult(value=Fraction(best, scale * Q), witness=PredictorVec(best_cand))
+    witness = PredictorVec([f[x] if v is None else v for x, v in enumerate(best_cand)])
+    return DistanceResult(Fraction(best, scale * Q), witness)
 
 
 @dataclass(frozen=True)

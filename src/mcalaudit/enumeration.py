@@ -47,7 +47,6 @@ __all__ = [
     "is_calibrated",
     "calibrated_set",
     "multicalibrated_set",
-    "complete_predictor",
     "is_multicalibrated",
     "is_multiaccurate",
     "is_degree_r_multicalibrated",
@@ -240,8 +239,8 @@ def multicalibrated_set(
 
     Computes cal(D|S_i) per group, then backtracks over tuples of per-group
     choices that agree on every overlap.  Coordinates not covered by any
-    group are unconstrained and returned as None (callers substitute the
-    audited predictor there, which contributes zero to any distance).
+    group are unconstrained and returned as None (a distance substitutes
+    the audited predictor there, which contributes zero).
 
     The worst-case join size is the product of per-group Bell numbers;
     a budget refusal (`BudgetExceeded`) reports the offending bound.
@@ -272,12 +271,14 @@ def multicalibrated_set(
         covered.update(best.members)
 
     n = inst.n
-    results: set[tuple[Optional[Fraction], ...]] = set()
+    # Distinct choice tuples give distinct results (a result restricted to a
+    # group is that group's choice), all with None at the uncovered points.
+    results: list[tuple[Optional[Fraction], ...]] = []
     assignment: list[Optional[Fraction]] = [None] * n
 
     def rec(gi: int):
         if gi == len(ordered):
-            results.add(tuple(assignment))
+            results.append(tuple(assignment))
             return
         S = ordered[gi]
         for cand in cal_sets[S.members]:
@@ -297,12 +298,7 @@ def multicalibrated_set(
                 assignment[x] = None
 
     rec(0)
-    return sorted(results, key=lambda t: tuple((v is not None, v) for v in t))
-
-
-def complete_predictor(values: tuple[Optional[Fraction], ...], fallback: PredictorVec) -> PredictorVec:
-    """Fill unconstrained (None) coordinates with the fallback's values."""
-    return PredictorVec([fallback[i] if v is None else v for i, v in enumerate(values)])
+    return sorted(results)
 
 
 def is_multicalibrated(f: PredictorVec, inst: Instance) -> bool:

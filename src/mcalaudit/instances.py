@@ -223,6 +223,8 @@ def gen_random(
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
+    if grid_denominator < 1:
+        raise ValueError(f"grid denominator must be >= 1, got {grid_denominator}")
     rng = random.Random(seed)
 
     if uniform_marginal or rng.random() < 0.5:

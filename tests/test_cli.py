@@ -51,6 +51,13 @@ def test_generate_bad_parameter_exits_2():
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_generate_random_refuses_a_grid_below_1(seed):
+    r = _run(["generate", "--family", "random", "--grid", "0", "--seed", str(seed)])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: grid denominator must be >= 1")
+
+
 def test_audit_three_point(tmp_path):
     p = tmp_path / "tp.json"
     p.write_text(_tp_json("0"))
@@ -358,6 +365,14 @@ def test_audit_zero_denominator_is_an_input_error():
     r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(marginal=["1/0", "1/2"]))
     assert r.exit_code == 2, r.output
     assert r.output.startswith("error: cannot read instance: ")
+
+
+@pytest.mark.parametrize("field", ["marginal", "p_star", "f"])
+def test_audit_refuses_json_true_as_a_number(field):
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(**{field: [True, "1/2"]}))
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: cannot read instance: ")
+    assert "bool" in r.output
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,12 @@ def test_rat_rejects_floats():
         rat(0.8)
 
 
+def test_rat_rejects_bools():
+    for b in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            rat(b)
+
+
 def test_to_decimal_rendering():
     assert to_decimal(Fraction(1, 2)) == "0.5"
     assert to_decimal(Fraction(1, 3)).startswith("0.3333333333")
@@ -50,6 +56,12 @@ def test_subgroup_sorted_dedup_nonempty():
     assert 2 in s and 1 not in s
     with pytest.raises(ValueError):
         Subgroup([])
+
+
+@pytest.mark.parametrize("member", [1.9, 1.0, True, "1"])
+def test_subgroup_refuses_non_integer_members(member):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Subgroup([0, member])
 
 
 def test_collection_rejects_duplicate_member_sets():

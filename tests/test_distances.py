@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcalaudit import (
@@ -27,7 +27,7 @@ from mcalaudit import (
 )
 from mcalaudit.core import instance_from_dict
 from mcalaudit.distances import CLOSURE_CEILING, METRICS, certify
-from mcalaudit.enumeration import complete_predictor, multicalibrated_set
+from mcalaudit.enumeration import multicalibrated_set
 from mcalaudit.instances import (
     gen_cdmc_example,
     gen_dcma_example,
@@ -36,6 +36,7 @@ from mcalaudit.instances import (
     gen_three_point,
     gen_wdmc_local_min,
 )
+from test_cal_engine import _check_dcma
 
 
 def test_dce_three_point():
@@ -73,6 +74,12 @@ def test_wdmc_and_wdma_report_the_first_of_tied_groups():
         assert wdma(inst) == (Fraction(1, 8), first)
 
 
+def _completed_mcal(inst):
+    """The multicalibrated set with f filled in where no group constrains."""
+    f = inst.audited
+    return [f.with_values({x: v for x, v in enumerate(c) if v is not None}) for c in multicalibrated_set(inst)]
+
+
 def test_dmc_witness_is_multicalibrated():
     tied = 0
     for seed in range(10):
@@ -82,11 +89,41 @@ def test_dmc_witness_is_multicalibrated():
         assert r.value == l1_distance(inst.audited, r.witness, inst.marginal)
         # among several minima the witness is the smallest completed vector
         f = inst.audited
-        completed = (complete_predictor(c, f) for c in multicalibrated_set(inst))
-        minima = [g.values for g in completed if l1_distance(f, g, inst.marginal) == r.value]
+        minima = [g.values for g in _completed_mcal(inst) if l1_distance(f, g, inst.marginal) == r.value]
         assert r.witness.values == min(minima)
         tied += len(minima) > 1
     assert tied >= 2
+
+
+def _random_instance(n, k, seed, drop):
+    """A gen_random instance with a non-uniform marginal, less its first
+    group when `drop` (which can leave coordinates uncovered)."""
+    inst = gen_random(n, min(k, n), seed=seed)
+    assume(len(set(inst.marginal.probs)) > 1)
+    if drop and len(inst.groups) > 1:
+        inst = inst.with_groups(SubgroupCollection(inst.groups[1:]))
+    return inst
+
+
+_RANDOM_ARGS = dict(n=st.integers(2, 6), k=st.integers(1, 3), seed=st.integers(0, 2**16), drop=st.booleans())
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(**_RANDOM_ARGS)
+@example(n=5, k=3, seed=0, drop=True)  # coordinate 0 uncovered
+def test_dmc_matches_scoring_the_completed_set(n, k, seed, drop):
+    inst = _random_instance(n, k, seed, drop)
+    f = inst.audited
+    value, values = min((l1_distance(f, g, inst.marginal), g.values) for g in _completed_mcal(inst))
+    r = dmc(inst)
+    assert (r.value, r.witness.values) == (value, values)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(**_RANDOM_ARGS)
+@example(n=5, k=3, seed=0, drop=True)
+def test_dcma_matches_the_oracle_on_random_instances(n, k, seed, drop):
+    _check_dcma(_random_instance(n, k, seed, drop))
 
 
 def test_intersection_closure_adds_overlaps():

@@ -10,6 +10,7 @@ from mcalaudit import (
     SubgroupCollection,
     bell_number,
     calibrated_set,
+    dmc,
     is_calibrated,
     is_degree_r_multicalibrated,
     is_multiaccurate,
@@ -17,7 +18,7 @@ from mcalaudit import (
     multicalibrated_set,
     partitions,
 )
-from mcalaudit.enumeration import PARTITION_CEILING, complete_predictor
+from mcalaudit.enumeration import PARTITION_CEILING
 from mcalaudit.instances import gen_random, gen_three_point
 
 
@@ -101,7 +102,7 @@ def _mcal_oracle(inst):
                 values[x] = forced  # None if no group meets the class
         if not ok:
             continue
-        g = complete_predictor(tuple(values), inst.audited)
+        g = inst.audited.with_values({x: v for x, v in enumerate(values) if v is not None})
         if is_multicalibrated(g, inst):
             results.add(tuple(values))
     return results
@@ -126,7 +127,10 @@ def test_multicalibrated_set_matches_bruteforce(seed):
     n = rng.randrange(2, 6)
     k = min(rng.randrange(1, 4), n)
     inst = gen_random(n, k, seed=900 + seed)
-    assert set(multicalibrated_set(inst)) == _mcal_oracle(inst)
+    mc = multicalibrated_set(inst)
+    assert set(mc) == _mcal_oracle(inst)
+    assert len(set(mc)) == len(mc)
+    assert mc == sorted(mc)
 
 
 def test_multicalibrated_set_budget_refusal():
@@ -139,8 +143,7 @@ def test_uncovered_coordinates_are_free():
     inst = gen_three_point(0).with_groups(SubgroupCollection([[0, 1]]))
     mc = multicalibrated_set(inst)
     assert all(t[2] is None for t in mc)
-    g = complete_predictor(mc[0], inst.audited)
-    assert g[2] == inst.audited[2]
+    assert dmc(inst).witness[2] == inst.audited[2]
 
 
 def test_is_multiaccurate():
