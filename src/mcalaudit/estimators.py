@@ -1,11 +1,14 @@
 """Sampling-based interval estimators for the calibration distances.
 
 The estimated statistic is the empirical lower distance to calibration:
-the optimum of a small exact LP over 1-Lipschitz dual weight functions of
-the observed (prediction, label) pairs.  It lower-bounds the conditional
+the optimum of a small LP over 1-Lipschitz dual weight functions of the
+observed (prediction, label) pairs.  It lower-bounds the conditional
 distance to calibration mu and satisfies mu <= 4*sqrt(statistic), which
 is what turns a median-of-batches point estimate into a two-sided
-interval.
+interval.  The LP is a path over the sorted distinct predictions, so it
+is solved exactly, without a simplex, by a dynamic programme over the
+concave piecewise-linear value function, in integers scaled by the lcm
+of the prediction denominators (`_smce_max`).
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence
 (a fixed, portable, splittable 64-bit algorithm; see the README), so runs
@@ -40,7 +43,6 @@ import numpy as np
 
 from .core import Instance, Subgroup, group_mass, rat
 from .distances import generated_partition
-from .multiaccuracy import LPProblem, lp_solve
 
 __all__ = [
     "IntervalEstimate",
@@ -93,46 +95,89 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def _scaled_values(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(q, [q*v for v in values]) with q the lcm of the values' denominators."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]
+
+
+def _smce_max(q: int, points: Sequence[int], coeffs: Sequence[int]) -> int:
+    """Maximum of sum_a coeffs[a] * W_a over real weights with |W_a| <= q
+    and |W_{a+1} - W_a| <= points[a+1] - points[a]; an integer, since the
+    optimum sits on breakpoints that are sums of the integer inputs.
+
+    A dynamic programme along the sorted points, the path structure that
+    Hu, Jambulapati, Tian and Yang (2024) solve as a flow.  V(W), the best
+    partial sum whose last weight is W, is concave and piecewise linear on
+    [-q, q]: it is kept as its breakpoints xs, the slope of each piece
+    between them and its value v0 at -q, all integers.  Stepping to the
+    next point takes the max of V over a window of radius gap: the rising
+    pieces move left by gap, the others right by gap, and a flat piece of
+    width 2*gap joins them at the old maximum.  The result is clipped to
+    [-q, q], and the next term coeffs[a] * W adds coeffs[a] to every
+    slope.  The optimum is V at the end of its last rising piece.
+    """
+    xs = [-q, q]
+    slopes = [coeffs[0]]
+    v0 = -q * coeffs[0]
+    for a in range(1, len(coeffs)):
+        gap = points[a] - points[a - 1]
+        i = 0
+        while i < len(slopes) and slopes[i] > 0:
+            i += 1
+        xs = [x - gap for x in xs[: i + 1]] + [x + gap for x in xs[i:]]
+        slopes.insert(i, 0)
+        j = 0
+        while xs[j + 1] <= -q:
+            v0 += slopes[j] * (xs[j + 1] - xs[j])
+            j += 1
+        v0 += slopes[j] * (-q - xs[j])
+        k = len(xs) - 1
+        while xs[k - 1] >= q:
+            k -= 1
+        xs = [-q] + xs[j + 1 : k] + [q]
+        c = coeffs[a]
+        slopes = [s + c for s in slopes[j:k]]
+        v0 -= q * c
+    best = v0
+    for s, x0, x1 in zip(slopes, xs, xs[1:]):
+        if s <= 0:
+            break
+        best += s * (x1 - x0)
+    return best
+
+
 def _smce_from_counts(
     values: Sequence[Fraction], n_counts: Sequence[int], label_sums: Sequence[int], m: int
 ) -> Fraction:
     """Exact empirical lower distance to calibration from aggregated counts.
 
-    values must be sorted ascending; n_counts[a] samples carry prediction
-    values[a], of which label_sums[a] have label 1.  Maximizes
+    values must be sorted ascending and distinct; n_counts[a] samples carry
+    prediction values[a], of which label_sums[a] have label 1.  Maximizes
     (1/m) sum_a w_a (label_sums[a] - n_counts[a] * values[a]) over weight
-    vectors w in [-1,1] that are 1-Lipschitz across adjacent values.  The
-    LP runs over w' = w + 1 in [0, 2]: the maximum over w is the maximum
-    over w' less the sum of the coefficients.
+    vectors w in [-1,1] that are 1-Lipschitz across adjacent values.
+    Scaled by q, the lcm of the value denominators, the weights and
+    coefficients are integers and `_smce_max` solves the program exactly.
     """
-    d = len(values)
-    coeffs = [Fraction(label_sums[a]) - n_counts[a] * values[a] for a in range(d)]
-    zero = Fraction(0)
-    one = Fraction(1)
-    objective = tuple(-c for c in coeffs)  # maximize via negated minimize
-    constraints = []
-    for a in range(d - 1):
-        row = [zero] * d
-        row[a + 1] = one
-        row[a] = -one
-        gap = values[a + 1] - values[a]
-        constraints.append((tuple(row), "<=", gap))
-        constraints.append((tuple(-c for c in row), "<=", gap))
-    sol = lp_solve(LPProblem(objective, tuple(constraints), (Fraction(2),) * d))
-    if sol.status != "optimal":
-        raise RuntimeError(f"smce LP ended with status {sol.status}")
-    return (-sol.optimum - sum(coeffs)) / m
+    q, points = _scaled_values(values)
+    coeffs = [q * s - n * x for x, n, s in zip(points, n_counts, label_sums)]
+    return Fraction(_smce_max(q, points, coeffs), q * q * m)
 
 
 def smce_empirical(samples) -> Fraction:
     """Empirical 1-Lipschitz-dual lower-dCE statistic of a list of
-    (prediction, label) pairs."""
+    (prediction, label) pairs: predictions in [0, 1], labels 0 or 1."""
     agg: dict[Fraction, list[int]] = {}
     total = 0
     for pred, label in samples:
-        entry = agg.setdefault(rat(pred), [0, 0])
+        pred = rat(pred)
+        if not 0 <= pred <= 1:
+            raise ValueError(f"prediction {pred} lies outside [0, 1]")
+        if not isinstance(label, int) or label not in (0, 1):
+            raise ValueError(f"label {label!r} is not 0 or 1")
+        entry = agg.setdefault(pred, [0, 0])
         entry[0] += 1
-        entry[1] += int(label)
+        entry[1] += label
         total += 1
     if total == 0:
         raise ValueError("at least one sample required")
@@ -178,16 +223,19 @@ def _statistics_from_counts(
 
     Row b of counts (ones) holds how many of batch b's `batch_size` draws
     fell on each member (and had label 1); members sharing a prediction
-    are folded into one value before the LP.
+    are folded into one value before the solver.
     """
     values = sorted({audited[i] for i in members})
     pos = {v: a for a, v in enumerate(values)}
     fold = np.zeros((len(members), len(values)), dtype=np.int64)
     for r, i in enumerate(members):
         fold[r, pos[audited[i]]] = 1
+    q, points = _scaled_values(values)
+    scale = q * q * batch_size
+    # Python ints from here on: q * s and n * x can exceed int64.
     return [
-        _smce_from_counts(values, n.tolist(), s.tolist(), batch_size)
-        for n, s in zip(counts @ fold, ones @ fold)
+        Fraction(_smce_max(q, points, [q * s - n * x for x, n, s in zip(points, ns, ss)]), scale)
+        for ns, ss in zip((counts @ fold).tolist(), (ones @ fold).tolist())
     ]
 
 

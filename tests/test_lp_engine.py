@@ -6,6 +6,9 @@ The oracle is the straightforward exact method: every tableau entry is a
 on the same tableau, so they must take the same pivots, in the same order,
 and end at the same vertex.  The pivots of `lp_solve` are recorded by
 wrapping `multiaccuracy._pivot`.
+
+The same two solvers are the references for the estimators' integer
+breakpoint solver of the smce statistic, which must match both exactly.
 """
 
 import random
@@ -246,6 +249,85 @@ def test_smce_matches_the_lp_with_explicit_lower_rows():
         expected, _ = oracle_solve(_smce_split_lp(values, n_counts, label_sums))
         assert expected.status == "optimal"
         assert _smce_from_counts(values, n_counts, label_sums, m) == -expected.optimum / m
+
+
+def _smce_box_lp(values, coeffs) -> LPProblem:
+    """The smce LP over w' = w + 1 in [0, 2]: the maximum over w is the
+    maximum over w' less the sum of the coefficients."""
+    d = len(values)
+    constraints = []
+    for a in range(d - 1):
+        gap = values[a + 1] - values[a]
+        row = [F(0)] * d
+        row[a], row[a + 1] = F(-1), F(1)
+        constraints += [(tuple(row), "<=", gap), (tuple(-c for c in row), "<=", gap)]
+    return LPProblem(tuple(-c for c in coeffs), tuple(constraints), (F(2),) * d)
+
+
+def _check_smce(values, n_counts, label_sums):
+    """The integer breakpoint solver against `lp_solve` on the box LP and
+    against the dense oracle on the split LP, exactly."""
+    m = max(1, sum(n_counts))
+    got = _smce_from_counts(values, n_counts, label_sums, m)
+    coeffs = [F(label_sums[a]) - n_counts[a] * values[a] for a in range(len(values))]
+    box = lp_solve(_smce_box_lp(values, coeffs))
+    assert box.status == "optimal"
+    assert got == (-box.optimum - sum(coeffs)) / m
+    split, _ = oracle_solve(_smce_split_lp(values, n_counts, label_sums))
+    assert got == -split.optimum / m
+
+
+def _smce_case(rng, d):
+    """Sorted distinct values over one to three denominators, sometimes
+    including 0 and 1, with zero, small and beyond-int64 counts and label
+    sums of 0, of the count, or in between."""
+    dens = [rng.choice((9, 12, 100))] + rng.sample((1, 2, 3, 5, 7), rng.randrange(0, 3))
+    grid = sorted({F(i, den) for den in dens for i in range(1, den)})
+    values = rng.sample(grid, d)
+    if rng.random() < 0.3:
+        values[0] = F(0)
+    if rng.random() < 0.3:
+        values[-1] = F(1)
+    values = sorted(values)
+    big = rng.random() < 0.15
+    n_counts = [rng.choice((0, rng.randrange(1, 20), rng.randrange(2**63, 2**70) if big else 7)) for _ in range(d)]
+    label_sums = [rng.choice((0, n, rng.randrange(0, n + 1))) for n in n_counts]
+    return values, n_counts, label_sums
+
+
+# 2000 cases; the dense oracle costs ~25 ms at d = 8, so the larger d get fewer.
+@pytest.mark.parametrize("d,cases", [(1, 440), (2, 440), (3, 440), (4, 440), (5, 60), (6, 60), (7, 60), (8, 60)])
+def test_smce_solver_matches_both_lps_on_seeded_counts(d, cases):
+    rng = random.Random(1000 + d)
+    seen = {"zero count": 0, "no ones": 0, "all ones": 0, "value 0": 0, "value 1": 0, "mixed denominators": 0, "count > 2^63": 0}
+    for _ in range(cases):
+        values, n_counts, label_sums = _smce_case(rng, d)
+        _check_smce(values, n_counts, label_sums)
+        seen["zero count"] += 0 in n_counts
+        seen["no ones"] += any(n and not s for n, s in zip(n_counts, label_sums))
+        seen["all ones"] += any(n and s == n for n, s in zip(n_counts, label_sums))
+        seen["value 0"] += values[0] == 0
+        seen["value 1"] += values[-1] == 1
+        seen["mixed denominators"] += len({v.denominator for v in values}) > 1
+        seen["count > 2^63"] += max(n_counts) > 2**63
+    if d == 1:
+        del seen["mixed denominators"]  # one value has one denominator
+    assert min(seen.values()) >= 5, seen
+
+
+@st.composite
+def _smce_counts(draw):
+    d = draw(st.integers(1, 8))
+    values = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=12), min_size=d, max_size=d, unique=True)))
+    n_counts = draw(st.lists(st.one_of(st.integers(0, 20), st.integers(2**63, 2**70)), min_size=d, max_size=d))
+    label_sums = [draw(st.integers(0, n)) for n in n_counts]
+    return values, n_counts, label_sums
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_smce_counts())
+def test_smce_solver_matches_both_lps_on_hypothesis_counts(case):
+    _check_smce(*case)
 
 
 _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
