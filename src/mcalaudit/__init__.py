@@ -32,7 +32,6 @@ from .distances import (
     wdmc,
 )
 from .enumeration import (
-    SetPartition,
     bell_number,
     calibrated_set,
     is_calibrated,
@@ -40,7 +39,6 @@ from .enumeration import (
     is_multiaccurate,
     is_multicalibrated,
     multicalibrated_set,
-    partitions,
 )
 from .estimators import IntervalEstimate, dce_interval, dimc_interval, smce_empirical
 from .instances import (

@@ -134,14 +134,17 @@ class PredictorVec:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A non-empty subset of int domain indices, stored sorted and duplicate-free."""
+    """A non-empty set of int domain indices, stored sorted; a repeated
+    member is refused, as a repeated group is."""
 
     members: tuple[int, ...]
 
     def __init__(self, members: Iterable[int]):
-        ms = tuple(sorted({_strict_int(i, "group index") for i in members}))
+        ms = tuple(sorted(_strict_int(i, "group index") for i in members))
         if not ms:
             raise ValueError("subgroup must be non-empty")
+        if any(a == b for a, b in zip(ms, ms[1:])):
+            raise ValueError(f"repeated member in group {ms}")
         if ms[0] < 0:
             raise ValueError("subgroup indices must be non-negative")
         object.__setattr__(self, "members", ms)
@@ -262,15 +265,16 @@ class BudgetExceeded(ValueError):
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
-    covers: bool
     violations: tuple[str, ...] = field(default_factory=tuple)
 
 
 def validate(inst: Instance) -> ValidationReport:
     """Check all instance invariants; collects violations instead of raising.
 
-    `covers` flags whether the groups cover the domain, which the
-    intersection-multicalibration metrics require.
+    Each check reads the input's own entries, never range(n), so a huge
+    declared n with short vectors is refused without allocating.  Whether
+    the groups cover the domain is not an invariant: only dimc requires
+    it, and checks it itself.
     """
     violations: list[str] = []
     n = inst.domain.n
@@ -290,8 +294,7 @@ def validate(inst: Instance) -> ValidationReport:
     for g in inst.groups:
         if g.members[-1] >= n:
             violations.append(f"group {g.members} references points outside the domain")
-    covers = inst.groups.covers(n)
-    return ValidationReport(valid=not violations, covers=covers, violations=tuple(violations))
+    return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

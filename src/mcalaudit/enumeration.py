@@ -16,7 +16,7 @@ lowest bit (two integer additions and one exact division per mask).
 `calibrated_set` streams partitions as tuples of class masks and
 deduplicates candidates as integer keys built from the ranks of the class
 means; `distances.dce` runs an O(3^k) subset DP over the same tables.
-Both refuse k > PARTITION_CEILING, as `partitions` does.
+Both refuse k > PARTITION_CEILING before they build a table.
 
 Multicalibrated predictors are assembled by joining per-group calibrated
 sets under agreement on overlaps.
@@ -24,11 +24,10 @@ sets under agreement on overlaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import BudgetExceeded, Instance, PredictorVec, Subgroup
 
@@ -41,9 +40,7 @@ DEFAULT_BUDGET = 10_000_000
 __all__ = [
     "PARTITION_CEILING",
     "DEFAULT_BUDGET",
-    "SetPartition",
     "bell_number",
-    "partitions",
     "is_calibrated",
     "calibrated_set",
     "multicalibrated_set",
@@ -51,21 +48,6 @@ __all__ = [
     "is_multiaccurate",
     "is_degree_r_multicalibrated",
 ]
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {0..k-1} into disjoint non-empty classes.
-
-    Classes are stored sorted by smallest element, which is the canonical
-    order produced by the restricted-growth-string enumeration.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return sum(len(c) for c in self.classes)
 
 
 @lru_cache(maxsize=None)
@@ -92,34 +74,6 @@ def _check_ceiling(k: int) -> None:
             k,
             PARTITION_CEILING,
         )
-
-
-def partitions(k: int) -> Iterator[SetPartition]:
-    """Yield every set partition of {0..k-1} exactly once.
-
-    Enumerates restricted growth strings: position i gets a class label in
-    {0..max(labels[:i])+1}.  Canonical order, Bell(k) partitions in total.
-    Refuses k > PARTITION_CEILING.
-    """
-    _check_ceiling(k)
-    labels = [0] * k
-
-    def emit() -> SetPartition:
-        nclasses = max(labels) + 1
-        classes: list[list[int]] = [[] for _ in range(nclasses)]
-        for i, c in enumerate(labels):
-            classes[c].append(i)
-        return SetPartition(tuple(tuple(c) for c in classes))
-
-    def rec(i: int, top: int):
-        if i == k:
-            yield emit()
-            return
-        for c in range(top + 2):
-            labels[i] = c
-            yield from rec(i + 1, max(top, c))
-
-    yield from rec(1, 0) if k > 1 else iter([emit()])
 
 
 def is_calibrated(f: PredictorVec, inst: Instance, S: Subgroup) -> bool:

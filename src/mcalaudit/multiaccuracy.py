@@ -1,11 +1,15 @@
 """Bias, worst-group bias, and distance to multiaccuracy via an exact LP.
 
-The distance to multiaccuracy is the optimum of a small linear program:
-variables are a candidate predictor g in [0, 1] and per-point slack
-t >= 0 bounding |g - f|; unbiasedness of g on each group is an exact
-linear equality.  `lp_solve` takes every variable non-negative, with an
-optional upper bound each, which it adds as a row.  The program is solved
-with an exact rational two-phase simplex (Bland's rule, so no cycling).
+The distance to multiaccuracy is the optimum of a small linear program.
+A candidate predictor is written g = f + u - v, with the upward change
+0 <= u <= 1 - f and the downward change 0 <= v <= f, so g stays in
+[0, 1]; the cost is sum m(x)(u(x) + v(x)), and unbiasedness of g on each
+group is one exact linear equality in u - v.  At an optimum u(x)v(x) = 0
+(m > 0, so lowering both cuts the cost), hence the cost is the l1
+distance from f to g.  `lp_solve` takes every variable non-negative, with
+an optional upper bound each, which it adds as a row.  The program is
+solved with an exact rational two-phase simplex (Bland's rule, so no
+cycling).
 Exactness matters: there are instances on which the optimum is
 exponentially sensitive to perturbations of the unbiasedness constraints,
 so a floating-point solve can be off by far more than round-off.
@@ -280,40 +284,33 @@ def wdma(inst: Instance) -> tuple[Fraction, Subgroup]:
 
 
 def _dma_problem(inst: Instance) -> LPProblem:
-    """Variables (g_1..g_n, t_1..t_n); minimize sum m(x) t(x) subject to
-    exact unbiasedness of g on every group, t >= |g - f|, g in [0,1]."""
+    """Variables (u_1..u_n, v_1..v_n) with g = f + u - v, u <= 1 - f and
+    v <= f; minimize sum m(x)(u(x) + v(x)) subject to exact unbiasedness
+    of g on every group: sum_S m(u - v) = sum_S m(p* - f)."""
     n = inst.n
-    m = inst.marginal
+    m = inst.marginal.probs
     p = inst.ground_truth
     f = inst.audited
     zero = Fraction(0)
-    objective = tuple([zero] * n + [m[i] for i in range(n)])
     constraints: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
     for S in inst.groups:
         coeffs = [zero] * (2 * n)
         for i in S.members:
             coeffs[i] = m[i]
-        rhs = sum((m[i] * p[i] for i in S.members), zero)
+            coeffs[n + i] = -m[i]
+        rhs = sum((m[i] * (p[i] - f[i]) for i in S.members), zero)
         constraints.append((tuple(coeffs), "=", rhs))
-    one = Fraction(1)
-    for i in range(n):
-        row = [zero] * (2 * n)
-        row[i] = one
-        row[n + i] = -one
-        constraints.append((tuple(row), "<=", f[i]))  # g_i - t_i <= f_i
-        row = [zero] * (2 * n)
-        row[i] = -one
-        row[n + i] = -one
-        constraints.append((tuple(row), "<=", -f[i]))  # -g_i - t_i <= -f_i
-    return LPProblem(objective, tuple(constraints), (one,) * n + (None,) * n)
+    return LPProblem(m * 2, tuple(constraints), tuple(1 - v for v in f.values) + f.values)
 
 
 def dma(inst: Instance) -> DistanceResult:
-    """Distance to multiaccuracy with an exact LP witness."""
+    """Distance to multiaccuracy with an exact LP witness g = f + u - v."""
     sol = lp_solve(_dma_problem(inst))
     if sol.status != "optimal":  # pragma: no cover - g = p* is always feasible
         raise RuntimeError(f"distance LP ended with status {sol.status}")
-    witness = PredictorVec(sol.assignment[: inst.n])
+    n = inst.n
+    u, v = sol.assignment[:n], sol.assignment[n:]
+    witness = PredictorVec(inst.audited[i] + u[i] - v[i] for i in range(n))
     if not is_multiaccurate(witness, inst):
         raise WitnessError("dma witness is not multiaccurate")
     return DistanceResult(value=sol.optimum, witness=witness)

@@ -26,9 +26,10 @@ from mcalaudit import (
     is_calibrated,
     is_multiaccurate,
     l1_distance,
-    partitions,
 )
 from mcalaudit.instances import gen_hypercube, gen_random, gen_ring
+
+from set_partitions import partitions
 
 
 def _cal_oracle(inst, S):

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import time
 import weakref
 from fractions import Fraction
 
@@ -359,6 +360,22 @@ def test_refusals_give_no_override_advice(tmp_path, monkeypatch):
 def _instance_text(**fields):
     d = {"n": 2, "marginal": ["1/2", "1/2"], "p_star": ["1/2", "1/2"], "f": ["1/2", "1/2"], "groups": [[0, 1]]}
     return json.dumps({**d, **fields})
+
+
+def test_audit_refuses_a_huge_n_with_short_vectors_at_once():
+    # validate reads the vectors' own entries, never range(n)
+    start = time.perf_counter()
+    three = {"marginal": ["1/3"] * 3, "p_star": ["0"] * 3, "f": ["0"] * 3, "groups": [[0, 1, 2]]}
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(n=10**9, **three))
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: invalid instance: marginal has 3 entries, domain has 1000000000")
+
+
+def test_audit_refuses_a_repeated_group_member():
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(groups=[[0, 0, 1]]))
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: cannot read instance: repeated member in group (0, 0, 1)")
 
 
 def test_audit_zero_denominator_is_an_input_error():

@@ -50,12 +50,19 @@ def test_to_decimal_rendering():
     assert to_decimal(Fraction(3, 8), digits=2) == "0.38"
 
 
-def test_subgroup_sorted_dedup_nonempty():
-    s = Subgroup([2, 0, 2])
+def test_subgroup_sorted_nonempty():
+    s = Subgroup([2, 0])
     assert s.members == (0, 2)
     assert 2 in s and 1 not in s
     with pytest.raises(ValueError):
         Subgroup([])
+
+
+@pytest.mark.parametrize("members", [[0, 0, 1], [2, 0, 2], [1, 1]])
+def test_subgroup_refuses_a_repeated_member(members):
+    # refused, as a repeated group is, rather than silently shrunk
+    with pytest.raises(ValueError, match="repeated member"):
+        Subgroup(members)
 
 
 @pytest.mark.parametrize("member", [1.9, 1.0, True, "1"])
@@ -112,12 +119,11 @@ def test_validate_flags_bad_marginal_and_range():
     assert not r2.valid and any("outside" in v for v in r2.violations)
 
 
-def test_validate_reports_cover():
+def test_a_valid_instance_need_not_cover():
     inst = _toy_instance()
-    assert validate(inst).covers
+    assert validate(inst).valid and inst.groups.covers(inst.n)
     partial = inst.with_groups(SubgroupCollection([[0, 1]]))
-    r = validate(partial)
-    assert r.valid and not r.covers
+    assert validate(partial).valid and not partial.groups.covers(partial.n)
 
 
 def test_json_round_trip_preserves_rationals():

@@ -16,10 +16,11 @@ from mcalaudit import (
     is_multiaccurate,
     is_multicalibrated,
     multicalibrated_set,
-    partitions,
 )
 from mcalaudit.enumeration import PARTITION_CEILING
 from mcalaudit.instances import gen_random, gen_three_point
+
+from set_partitions import partitions
 
 
 def test_bell_numbers():

@@ -126,8 +126,7 @@ def test_gen_random_always_valid_and_covering(seed):
     n = rng.randrange(1, 8)
     k = min(rng.randrange(1, 5), n)
     inst = gen_random(n, k, seed=seed)
-    r = validate(inst)
-    assert r.valid and r.covers
+    assert validate(inst).valid and inst.groups.covers(inst.n)
 
 
 def test_gen_random_deterministic():

@@ -2,11 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcalaudit import (
+    FiniteDomain,
+    Instance,
     LPProblem,
+    Marginal,
     PredictorVec,
     Subgroup,
+    SubgroupCollection,
     bias,
     dma,
     is_multiaccurate,
@@ -14,6 +20,7 @@ from mcalaudit import (
     lp_solve,
     wdma,
 )
+from mcalaudit.distances import certify
 from mcalaudit.instances import gen_fibonacci, gen_random, gen_three_point
 from mcalaudit.multiaccuracy import _dma_problem
 
@@ -170,12 +177,92 @@ def test_dma_fibonacci_lower_bound():
 
 
 def test_dma_problem_shape():
-    inst = gen_three_point(0)
-    p = _dma_problem(inst)
+    for inst in (gen_three_point(0), gen_three_point(F(1, 10)), gen_random(6, 3, seed=1)):
+        p = _dma_problem(inst)
+        f = inst.audited.values
+        assert p.objective == inst.marginal.probs * 2
+        assert len(p.constraints) == len(inst.groups)
+        assert all(rel == "=" for _, rel, _ in p.constraints)
+        assert p.upper == tuple(1 - v for v in f) + f  # 2n finite bounds
+
+
+def _dma_problem_with_slack_rows(inst: Instance) -> LPProblem:
+    """The dma LP written the long way, kept as the reference: variables
+    (g_1..g_n, t_1..t_n); minimize sum m(x) t(x) subject to exact
+    unbiasedness of g on every group, t >= |g - f| as two rows per point,
+    and g <= 1."""
     n = inst.n
-    assert len(p.objective) == 2 * n
-    assert len(p.constraints) == len(inst.groups) + 2 * n
-    assert all(rel == "=" for _, rel, _ in p.constraints[: len(inst.groups)])
+    m = inst.marginal
+    p = inst.ground_truth
+    f = inst.audited
+    zero = Fraction(0)
+    objective = tuple([zero] * n + [m[i] for i in range(n)])
+    constraints: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
+    for S in inst.groups:
+        coeffs = [zero] * (2 * n)
+        for i in S.members:
+            coeffs[i] = m[i]
+        rhs = sum((m[i] * p[i] for i in S.members), zero)
+        constraints.append((tuple(coeffs), "=", rhs))
+    one = Fraction(1)
+    for i in range(n):
+        row = [zero] * (2 * n)
+        row[i] = one
+        row[n + i] = -one
+        constraints.append((tuple(row), "<=", f[i]))  # g_i - t_i <= f_i
+        row = [zero] * (2 * n)
+        row[i] = -one
+        row[n + i] = -one
+        constraints.append((tuple(row), "<=", -f[i]))  # -g_i - t_i <= -f_i
+    return LPProblem(objective, tuple(constraints), (one,) * n + (None,) * n)
+
+
+def _check_dma(inst: Instance) -> None:
+    """dma, which solves `_dma_problem`, reaches the optimum of the
+    slack-row formulation, and its witness g = f + u - v certifies."""
+    reference = lp_solve(_dma_problem_with_slack_rows(inst))
+    assert reference.status == "optimal"
+    r = dma(inst)
+    assert r.value == reference.optimum
+    certify("dma", r, inst)
+
+
+def test_dma_matches_the_slack_row_lp_on_every_family():
+    # Imported here: test_lp_engine imports this module.
+    from test_lp_engine import _family_instances
+
+    for _, inst in _family_instances():
+        _check_dma(inst)
+
+
+def test_dma_matches_the_slack_row_lp_on_seeded_random_instances():
+    rng = random.Random(13)
+    for s in range(200):
+        n = 2 + s % 19
+        _check_dma(gen_random(n, rng.randrange(1, n + 1), seed=rng.randrange(2**32), uniform_marginal=s % 3 == 0))
+
+
+@st.composite
+def _instances(draw):
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    grid = draw(st.sampled_from([1, 2, 3, 4]))
+    p_star = draw(st.lists(st.integers(0, grid), min_size=n, max_size=n))
+    f = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    groups = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4, unique=True))
+    return Instance(
+        FiniteDomain(n),
+        Marginal([F(w, sum(weights)) for w in weights]),
+        PredictorVec([F(v, grid) for v in p_star]),
+        SubgroupCollection(sorted(g) for g in groups),
+        PredictorVec([F(v, 6) for v in f]),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_instances())
+def test_dma_matches_the_slack_row_lp_on_hypothesis_instances(inst):
+    _check_dma(inst)
 
 
 def test_dma_raises_when_the_witness_fails_certification(monkeypatch):
