@@ -62,6 +62,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+# `audit --degree D` writes a D-entry map, so D is bounded before it is built.
+DEGREE_CEILING = 10_000
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -164,6 +166,8 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
             _fail(f"unknown metric {m!r}")
     if degree < 1:
         _fail("--degree must be >= 1")
+    if degree > DEGREE_CEILING:
+        _fail(f"--degree must be <= {DEGREE_CEILING}")
     budget = _budget()
 
     report: dict = {"metrics": {}, "membership": {}, "timing_seconds": {}}

@@ -12,6 +12,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 
+# `Fraction("1e-N")` builds 10**N before it can refuse anything; the bound
+# on the exponent is CPython's default limit on the digits of an int string.
+EXPONENT_CEILING = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+
 def rat(x) -> Fraction:
     """Convert ints (not bools), "p/q" strings and decimal strings to an exact Fraction."""
     if isinstance(x, Fraction):
@@ -50,6 +57,9 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        if exponent and abs(int(exponent.group(1))) > EXPONENT_CEILING:
+            raise ValueError(f"decimal exponent beyond +-{EXPONENT_CEILING}")
         try:
             return Fraction(x)  # handles both "4/5" and "0.8" exactly
         except ZeroDivisionError:

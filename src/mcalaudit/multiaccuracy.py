@@ -6,10 +6,10 @@ A candidate predictor is written g = f + u - v, with the upward change
 [0, 1]; the cost is sum m(x)(u(x) + v(x)), and unbiasedness of g on each
 group is one exact linear equality in u - v.  At an optimum u(x)v(x) = 0
 (m > 0, so lowering both cuts the cost), hence the cost is the l1
-distance from f to g.  `lp_solve` takes every variable non-negative, with
-an optional upper bound each, which it adds as a row.  The program is
-solved with an exact rational two-phase simplex (Bland's rule, so no
-cycling).
+distance from f to g.  `lp_solve` takes exactly this form, equality rows
+and finite bounds, and solves it with an exact rational two-phase
+bounded-variable simplex (Bland's rule, so no cycling; Chvatal 1983, ch. 8):
+a bound is a flip in the ratio test, not a row of the tableau.
 Exactness matters: there are instances on which the optimum is
 exponentially sensitive to perturbations of the unbiasedness constraints,
 so a floating-point solve can be off by far more than round-off.
@@ -18,10 +18,11 @@ The tableau is kept in integer rows: each row is a list of Python ints
 over one positive int denominator, reduced by the gcd of the row after
 every update.  A pivot on column c rewrites only the rows whose entry in c
 is not zero, each by one integer combination with the pivot row; sign tests
-read numerators and the ratio test cross-multiplies.  Every entry equals
-the one a `Fraction` tableau would hold, so Bland's rule takes exactly the
-same pivots and the solve ends at the same vertex, without a `Fraction`
-operation in the inner loop.
+read numerators and the ratio test cross-multiplies.  Scaling each column's
+variable to [0, 1] changes no sign and no order of steps, so Bland's rule
+takes exactly the pivots and flips of a `Fraction` tableau over the
+unscaled variables and the solve ends at the same vertex, without a
+`Fraction` operation in the inner loop.
 
 Group masses and conditional label means are taken exactly from the
 Instance; sensitivity of the program to estimated constraint data is out
@@ -50,36 +51,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LPProblem:
-    """min objective . x subject to linear constraints and x >= 0.
+    """min objective . x subject to A x = b and 0 <= x <= upper.
 
-    Each constraint is (coefficients, relation, rhs) with relation one of
-    "<=", "=", ">=".  `upper` holds one upper bound per variable; None
-    means unbounded above.
+    Each constraint is one equality row (coefficients, rhs).  `upper` holds
+    one finite, non-negative `Fraction` bound per variable.
     """
 
     objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    upper: tuple[Optional[Fraction], ...]
+    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    upper: tuple[Fraction, ...]
 
     def __post_init__(self):
         nv = len(self.objective)
-        if len(self.upper) != nv:
-            raise ValueError("one upper bound per variable required")
-        for coeffs, rel, _ in self.constraints:
+        if len(self.upper) != nv or not all(isinstance(hi, Fraction) and hi >= 0 for hi in self.upper):
+            raise ValueError("one non-negative Fraction upper bound per variable required")
+        for coeffs, _ in self.constraints:
             if len(coeffs) != nv:
                 raise ValueError("constraint dimension mismatch")
-            if rel not in ("<=", "=", ">="):
-                raise ValueError(f"unknown relation {rel!r}")
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "objective": [_rat_str(c) for c in self.objective],
                 "constraints": [
-                    {"coeffs": [_rat_str(c) for c in coeffs], "rel": rel, "rhs": _rat_str(b)}
-                    for coeffs, rel, b in self.constraints
+                    {"coeffs": [_rat_str(c) for c in coeffs], "rhs": _rat_str(b)}
+                    for coeffs, b in self.constraints
                 ],
-                "upper": [None if hi is None else _rat_str(hi) for hi in self.upper],
+                "upper": [_rat_str(hi) for hi in self.upper],
             },
             indent=2,
         )
@@ -87,19 +85,15 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     optimum: Optional[Fraction]
     assignment: tuple[Fraction, ...]
 
 
-def _int_row(entries: dict[int, Fraction], length: int) -> tuple[list[int], int]:
-    """The sparse row {column: value} as dense integer numerators over the
-    least common denominator of its values (already in lowest terms)."""
-    den = lcm(*(v.denominator for v in entries.values()))
-    row = [0] * length
-    for j, v in entries.items():
-        row[j] = v.numerator * (den // v.denominator)
-    return row, den
+def _int_row(values: list) -> tuple[list[int], int]:
+    """Fractions and ints as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -123,39 +117,66 @@ def _eliminate(nums: list[int], den: int, prow: list[int], col: int, support: li
     return _reduced(nums, den * b)
 
 
-def _simplex(rows: list[list[int]], dens: list[int], basis: list[int], ncols: int) -> str:
-    """Run the simplex method on a tableau in canonical form, minimizing the
-    objective stored in the last row.  Row i holds the values rows[i][j] /
-    dens[i] with dens[i] > 0, so every sign test reads a numerator and the
-    ratio test cross-multiplies (the row denominator cancels).  Bland's rule
-    throughout.  Returns "optimal" or "unbounded"; the tableau is pivoted in
-    place."""
-    nrows = len(rows) - 1
+def _simplex(rows: list[list[int]], dens: list[int], basis: list[int], flipped: list[bool], nrows: int):
+    """Minimize the last row of a tableau in canonical form, in place, by the
+    bounded-variable simplex; rows[:nrows] are the constraints, and a row
+    between them and the objective is only carried along.  Column j < nv
+    holds a variable in [0, 1]; a basis entry >= nv is an artificial, which
+    has no upper bound and never enters.  Row i holds rows[i][j] / dens[i]
+    with dens[i] > 0.  Bland's rule: the first column with a negative
+    reduced cost enters and stops at the first of its own bound (a flip), a
+    basic variable falling to 0 (a pivot) or one rising to 1 (a pivot, then
+    a flip of the variable that left); ties go to the least variable index."""
+    nv = len(flipped)
     while True:
         obj = rows[-1]
         enter = -1
-        for j in range(ncols):
+        for j in range(nv):
             if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return
+        # The step is best_num / best_q with best_q > 0, first the entering
+        # variable's own bound; stop is the variable that limits it.
+        best_num = best_q = 1
+        stop = enter
         leave = -1
-        best_rhs = best_a = 0
         for i in range(nrows):
             row = rows[i]
             a = row[enter]
             if a > 0:
-                # row[-1]/a against best_rhs/best_a, both a > 0
-                this = row[-1] * best_a
-                best = best_rhs * a
-                if leave < 0 or this < best or (this == best and basis[i] < basis[leave]):
-                    best_rhs, best_a = row[-1], a
-                    leave = i
+                num, q = row[-1], a
+            elif a < 0 and basis[i] < nv:
+                num, q = dens[i] - row[-1], -a
+            else:
+                continue
+            this = num * best_q
+            best = best_num * q
+            if this < best or (this == best and basis[i] < stop):
+                best_num, best_q = num, q
+                stop = basis[i]
+                leave = i
         if leave < 0:
-            return "unbounded"
+            _flip(rows, flipped, enter)
+            continue
+        to_bound = rows[leave][enter] < 0
         _pivot(rows, dens, leave, enter)
         basis[leave] = enter
+        if to_bound:
+            _flip(rows, flipped, stop)
+
+
+def _flip(rows: list[list[int]], flipped: list[bool], col: int):
+    """Replace the non-basic y_col by 1 - y_col: negate its column and
+    subtract the column from the rhs.  A row's gcd with its denominator
+    does not change, so no row needs reducing."""
+    flipped[col] = not flipped[col]
+    for row in rows:
+        a = row[col]
+        if a:
+            row[col] = -a
+            row[-1] -= a
 
 
 def _pivot(rows: list[list[int]], dens: list[int], row: int, col: int):
@@ -167,101 +188,66 @@ def _pivot(rows: list[list[int]], dens: list[int], row: int, col: int):
         prow = [-v for v in prow]
     prow, dens[row] = _reduced(prow, prow[col])
     rows[row] = prow
-    support = _support(prow)
+    support = [j for j, v in enumerate(prow) if v]
     for i in range(len(rows)):
         if i != row and rows[i][col] != 0:
             rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, col, support)
 
 
-def _support(row: list[int]) -> list[int]:
-    return [j for j, v in enumerate(row) if v]
-
-
 def lp_solve(problem: LPProblem) -> LPSolution:
-    """Exact two-phase simplex over x >= 0.
+    """Exact two-phase bounded-variable simplex.
 
-    Each finite upper bound becomes a row x_j <= upper_j after the
-    constraints, in variable order.  Phase 1 minimizes the sum of
-    artificial variables; a positive phase-1 optimum certifies
-    infeasibility.
+    Column j holds y_j = x_j / upper_j in [0, 1], so a bound of 0 makes a
+    zero column that never enters.  Each constraint is one row, negated
+    where its rhs is negative, with one artificial.  Phase 1 minimizes the
+    sum of the artificials and carries the objective row along; a positive
+    phase-1 optimum certifies infeasibility.  Every variable is bounded, so
+    phase 2 ends at an optimum.
     """
     nv = len(problem.objective)
-    rows: list[tuple[dict[int, Fraction], str, Fraction]] = [
-        ({j: c for j, c in enumerate(coeffs) if c}, rel, rhs) for coeffs, rel, rhs in problem.constraints
-    ]
-    rows.extend(({j: Fraction(1)}, "<=", hi) for j, hi in enumerate(problem.upper) if hi is not None)
-
-    # Normalize to non-negative rhs; every row but a "<=" row gets an
-    # artificial column, after the variable and slack columns.
-    for i, (cols, rel, rhs) in enumerate(rows):
-        if rhs < 0:
-            rows[i] = ({j: -c for j, c in cols.items()}, {"<=": ">=", ">=": "<=", "=": "="}[rel], -rhs)
-    nrows = len(rows)
-    total = nv + sum(1 for _, rel, _ in rows if rel != "=")
-    art_rows = [i for i, (_, rel, _) in enumerate(rows) if rel != "<="]
-    n_art = len(art_rows)
-    width = total + n_art
-    # Row i holds the values tab[i][j] / dens[i], with dens[i] > 0.
+    upper = problem.upper
     tab: list[list[int]] = []
     dens: list[int] = []
-    basis: list[int] = []
-    slack_at = nv
-    art_at = total
-    for cols, rel, rhs in rows:
-        entries = {**cols, width: rhs}
-        if rel != "=":
-            entries[slack_at] = 1 if rel == "<=" else -1
-            slack_at += 1
-        if rel == "<=":
-            basis.append(slack_at - 1)
-        else:
-            entries[art_at] = 1
-            basis.append(art_at)
-            art_at += 1
-        row, den = _int_row(entries, width + 1)
-        tab.append(row)
+    for coeffs, rhs in problem.constraints:
+        row, den = _int_row([c * hi if c and hi else 0 for c, hi in zip(coeffs, upper)] + [rhs])
+        tab.append([-v for v in row] if rhs < 0 else row)
         dens.append(den)
-
-    if n_art:
-        phase1 = [0] * total + [1] * n_art + [0]
-        tab.append(phase1)
-        dens.append(1)
-        # Price out the artificial basis.
-        for i in art_rows:
-            if tab[-1][basis[i]] != 0:
-                tab[-1], dens[-1] = _eliminate(tab[-1], dens[-1], tab[i], basis[i], _support(tab[i]))
-        _simplex(tab, dens, basis, width)
-        if tab[-1][-1] != 0:
-            return LPSolution("infeasible", None, ())
-        tab.pop()
-        dens.pop()
-        # Drive any artificial still basic out of the basis (degenerate rows).
-        for i in range(nrows):
-            if basis[i] >= total:
-                for j in range(total):
-                    if tab[i][j] != 0:
-                        _pivot(tab, dens, i, j)
-                        basis[i] = j
-                        break
-        # Artificials never re-enter, and one still basic sits on a row that
-        # is zero left of them, so phase 2 drops their columns.
-        for row in tab:
-            del row[total:width]
-
-    obj, obj_den = _int_row({j: c for j, c in enumerate(problem.objective) if c}, total + 1)
-    for i in range(nrows):
-        if basis[i] < total and obj[basis[i]] != 0:
-            obj, obj_den = _eliminate(obj, obj_den, tab[i], basis[i], _support(tab[i]))
+    nrows = len(tab)
+    basis = list(range(nv, nv + nrows))  # the artificial of row i
+    obj, den = _int_row([c * hi if c and hi else 0 for c, hi in zip(problem.objective, upper)] + [0])
     tab.append(obj)
-    dens.append(obj_den)
-    status = _simplex(tab, dens, basis, total)
-    if status == "unbounded":
-        return LPSolution("unbounded", None, ())
+    dens.append(den)
+    # The sum of the artificials, priced out: minus the sum of the rows.
+    den = lcm(*dens[:nrows])
+    scale = [den // d for d in dens[:nrows]]
+    obj = [-sum(row[j] * k for row, k in zip(tab, scale)) for j in range(nv + 1)]
+    obj, den = _reduced(obj, den)
+    tab.append(obj)
+    dens.append(den)
 
-    values = [Fraction(0)] * nv
+    flipped = [False] * nv
+    _simplex(tab, dens, basis, flipped, nrows)
+    if tab[-1][-1] != 0:
+        return LPSolution("infeasible", None, ())
+    tab.pop()
+    dens.pop()
+    # Drive any artificial still basic (at 0) out of the basis.  A row with
+    # no other entry stays, its artificial at 0, and never limits a step.
     for i in range(nrows):
-        if basis[i] < nv:
-            values[basis[i]] = Fraction(tab[i][-1], dens[i])
+        if basis[i] >= nv:
+            for j in range(nv):
+                if tab[i][j] != 0:
+                    _pivot(tab, dens, i, j)
+                    basis[i] = j
+                    break
+    _simplex(tab, dens, basis, flipped, nrows)
+
+    # A non-basic y is 0, so x is 0, or upper where y is flipped.
+    values = [hi if fl else Fraction(0) for hi, fl in zip(upper, flipped)]
+    for i, j in enumerate(basis):
+        if j < nv:
+            y = Fraction(tab[i][-1], dens[i])
+            values[j] = upper[j] * (1 - y if flipped[j] else y)
     return LPSolution("optimal", Fraction(-tab[-1][-1], dens[-1]), tuple(values))
 
 
@@ -292,14 +278,14 @@ def _dma_problem(inst: Instance) -> LPProblem:
     p = inst.ground_truth
     f = inst.audited
     zero = Fraction(0)
-    constraints: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
+    constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for S in inst.groups:
         coeffs = [zero] * (2 * n)
         for i in S.members:
             coeffs[i] = m[i]
             coeffs[n + i] = -m[i]
         rhs = sum((m[i] * (p[i] - f[i]) for i in S.members), zero)
-        constraints.append((tuple(coeffs), "=", rhs))
+        constraints.append((tuple(coeffs), rhs))
     return LPProblem(m * 2, tuple(constraints), tuple(1 - v for v in f.values) + f.values)
 
 

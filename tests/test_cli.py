@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from mcalaudit import LPProblem, lp_solve
 from mcalaudit.cli import main
 from mcalaudit.core import dump_instance, instance_from_dict
 from mcalaudit.instances import gen_three_point
@@ -79,8 +80,17 @@ def test_audit_dump_lp_and_pretty(tmp_path):
     r = _run(["audit", str(p), "--metrics", "dma", "--dump-lp", str(lp), "--pretty"])
     assert r.exit_code == 0, r.output
     dumped = json.loads(lp.read_text())
-    assert "objective" in dumped and "constraints" in dumped
+    assert all("rel" not in c for c in dumped["constraints"])
+    assert None not in dumped["upper"]
     assert "dma" in r.output
+    # The dump is the LP that dma solves: rebuilt and solved, it has dma's value.
+    problem = LPProblem(
+        tuple(Fraction(c) for c in dumped["objective"]),
+        tuple((tuple(Fraction(a) for a in c["coeffs"]), Fraction(c["rhs"])) for c in dumped["constraints"]),
+        tuple(Fraction(hi) for hi in dumped["upper"]),
+    )
+    report = json.loads(_run(["audit", str(p), "--metrics", "dma"]).output)
+    assert lp_solve(problem).optimum == Fraction(report["metrics"]["dma"]["value"]["rational"])
 
 
 def test_audit_invalid_instance_exits_2():
@@ -370,6 +380,30 @@ def test_audit_refuses_a_huge_n_with_short_vectors_at_once():
     assert time.perf_counter() - start < 1
     assert r.exit_code == 2, r.output
     assert r.output.startswith("error: invalid instance: marginal has 3 entries, domain has 1000000000")
+
+
+def test_audit_refuses_a_long_decimal_exponent_at_once():
+    # Fraction("1e-2000000") alone takes about a second and builds 10**2000000.
+    start = time.perf_counter()
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(f=["1e-2000000", "1/2"]))
+    assert time.perf_counter() - start < 0.5
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: cannot read instance: decimal exponent beyond +-4300")
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(f=["1e-3", "1/2"]))
+    assert r.exit_code == 0, r.output
+
+
+def test_audit_refuses_a_huge_degree_at_once(tmp_path):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    start = time.perf_counter()
+    r = _run(["audit", str(p), "--metrics", "wdma", "--degree", "1000000000"])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: --degree must be <= 10000")
+    r = _run(["audit", str(p), "--metrics", "wdma", "--degree", "10000"])
+    assert r.exit_code == 0, r.output
+    assert len(json.loads(r.output)["membership"]["degree_r_multicalibrated"]) == 10000
 
 
 def test_audit_refuses_a_repeated_group_member():

@@ -31,6 +31,16 @@ def test_rat_accepts_ints_strings_fractions():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_rat_bounds_the_decimal_exponent():
+    assert rat("1e-3") == Fraction(1, 1000)
+    assert rat(" 25E-1 ") == Fraction(5, 2)
+    assert rat("1e-4300") == Fraction(1, 10**4300)
+    assert rat("1e4_300") == 10**4300
+    for text in ("1e-4301", "1E+4301", "2.5e-2000000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            rat(text)
+
+
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.8)

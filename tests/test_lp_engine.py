@@ -1,13 +1,20 @@
-"""Cross-checks of the integer-row simplex in `lp_solve` against a dense
-`Fraction` two-phase simplex kept here as an oracle.
+"""Cross-checks of the integer-row bounded-variable simplex in `lp_solve`
+against two dense `Fraction` simplexes kept here as oracles.
 
-The oracle is the straightforward exact method: every tableau entry is a
-`Fraction` and every pivot rebuilds every row.  Both sides use Bland's rule
-on the same tableau, so they must take the same pivots, in the same order,
-and end at the same vertex.  The pivots of `lp_solve` are recorded by
-wrapping `multiaccuracy._pivot`.
+`oracle_solve` is the straightforward exact form of the same method: every
+tableau entry is a `Fraction` over the unscaled variables, every pivot
+rebuilds every row and every flip rewrites the rhs by the bound.  Both sides
+use Bland's rule with the same flips, so they must take the same pivots and
+flips, in the same order, and end at the same vertex.  The pivots and flips
+of `lp_solve` are recorded by wrapping `multiaccuracy._pivot` and
+`multiaccuracy._flip`.
 
-The same two solvers are the references for the estimators' integer
+`oracle_solve_rows` is the general row-form simplex: `"<="`, `"="` and
+`">="` rows, optional upper bounds, each finite bound a row of its own,
+and an `unbounded` status.  Every LP's status and optimum are checked
+against it too.
+
+The same solvers are the references for the estimators' integer
 breakpoint solver of the smce statistic, which must match both exactly.
 """
 
@@ -76,12 +83,23 @@ def _oracle_pivot(tableau, row, col, pivots):
             tableau[i] = [v - factor * p for v, p in zip(tableau[i], tableau[row])]
 
 
-def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]:
-    """Dense-Fraction two-phase simplex; returns the solution and its pivots."""
+def _price_out(tableau, rows):
+    """Zero the last row's entries in the basic columns of `rows`, each
+    given as (row index, basic column)."""
+    for i, col in rows:
+        factor = tableau[-1][col]
+        if factor != 0:
+            tableau[-1] = [v - factor * p for v, p in zip(tableau[-1], tableau[i])]
+
+
+def oracle_solve_rows(objective, constraints, upper) -> tuple[LPSolution, list[tuple[int, int]]]:
+    """Dense-Fraction two-phase simplex over x >= 0 with (coeffs, rel, rhs)
+    rows, rel one of "<=", "=", ">=", and an upper bound or None per
+    variable, each finite bound a row; returns the solution and its pivots."""
     pivots: list[tuple[int, int]] = []
-    nv = len(problem.objective)
-    rows = [({j: c for j, c in enumerate(coeffs) if c != 0}, rel, rhs) for coeffs, rel, rhs in problem.constraints]
-    rows += [({j: F(1)}, "<=", hi) for j, hi in enumerate(problem.upper) if hi is not None]
+    nv = len(objective)
+    rows = [({j: c for j, c in enumerate(coeffs) if c != 0}, rel, rhs) for coeffs, rel, rhs in constraints]
+    rows += [({j: F(1)}, "<=", hi) for j, hi in enumerate(upper) if hi is not None]
 
     nrows = len(rows)
     total = nv + sum(1 for _, rel, _ in rows if rel != "=")
@@ -124,10 +142,7 @@ def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]
         for col in art_idx:
             phase1[col] = F(1)
         tableau.append(phase1)
-        for i in art_rows:
-            factor = tableau[-1][basis[i]]
-            if factor != 0:
-                tableau[-1] = [v - factor * p for v, p in zip(tableau[-1], tableau[i])]
+        _price_out(tableau, [(i, basis[i]) for i in art_rows])
         _oracle_simplex(tableau, basis, width, pivots)
         if tableau[-1][-1] != 0:
             return LPSolution("infeasible", None, ()), pivots
@@ -141,13 +156,10 @@ def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]
                         break
 
     phase2 = [F(0)] * (width + 1)
-    for j, c in enumerate(problem.objective):
+    for j, c in enumerate(objective):
         phase2[j] = c
     tableau.append(phase2)
-    for i in range(nrows):
-        factor = tableau[-1][basis[i]]
-        if factor != 0:
-            tableau[-1] = [v - factor * p for v, p in zip(tableau[-1], tableau[i])]
+    _price_out(tableau, list(enumerate(basis)))
     if _oracle_simplex(tableau, basis, total, pivots) == "unbounded":
         return LPSolution("unbounded", None, ()), pivots
 
@@ -158,33 +170,140 @@ def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]]]
     return LPSolution("optimal", -tableau[-1][-1], tuple(values[:nv])), pivots
 
 
+def _oracle_bounded_simplex(tableau, basis, upper, flipped, nrows, pivots, flips):
+    """Bland's rule over the columns of `upper`; the entering variable stops
+    at the first of its own bound (a flip), a basic variable falling to 0
+    (a pivot) or a basic variable rising to its bound (a pivot, then a flip
+    of the variable that left); ties go to the least variable index.  A
+    basic variable without a bound (an artificial) never stops a step."""
+    nv = len(upper)
+    while True:
+        obj = tableau[-1]
+        enter = next((j for j in range(nv) if obj[j] < 0), None)
+        if enter is None:
+            return
+        step, stop, leave = upper[enter], enter, None
+        for i in range(nrows):
+            a = tableau[i][enter]
+            if a > 0:
+                t = tableau[i][-1] / a
+            elif a < 0 and basis[i] < nv:
+                t = (upper[basis[i]] - tableau[i][-1]) / -a
+            else:
+                continue
+            if t < step or (t == step and basis[i] < stop):
+                step, stop, leave = t, basis[i], i
+        if leave is None:
+            _oracle_flip(tableau, upper, flipped, enter, flips)
+            continue
+        to_bound = tableau[leave][enter] < 0
+        _oracle_pivot(tableau, leave, enter, pivots)
+        basis[leave] = enter
+        if to_bound:
+            _oracle_flip(tableau, upper, flipped, stop, flips)
+
+
+def _oracle_flip(tableau, upper, flipped, col, flips):
+    """Replace x_col by upper_col - x_col in every row."""
+    flips.append(col)
+    flipped[col] = not flipped[col]
+    for row in tableau:
+        a = row[col]
+        row[col] = -a
+        row[-1] -= a * upper[col]
+
+
+def oracle_solve(problem: LPProblem) -> tuple[LPSolution, list[tuple[int, int]], list[int]]:
+    """Dense-Fraction two-phase bounded-variable simplex over the unscaled
+    variables, with one artificial column per row; returns the solution,
+    its pivots and its flips.  A variable with bound 0 gets a zero column,
+    as in `lp_solve`."""
+    pivots: list[tuple[int, int]] = []
+    flips: list[int] = []
+    nv = len(problem.objective)
+    upper = problem.upper
+    nrows = len(problem.constraints)
+    tableau = []
+    for i, (coeffs, rhs) in enumerate(problem.constraints):
+        sign = -1 if rhs < 0 else 1
+        row = [sign * c if hi else F(0) for c, hi in zip(coeffs, upper)] + [F(0)] * nrows + [sign * rhs]
+        row[nv + i] = F(1)
+        tableau.append(row)
+    basis = [nv + i for i in range(nrows)]
+    flipped = [False] * nv
+
+    tableau.append([F(0)] * nv + [F(1)] * nrows + [F(0)])
+    _price_out(tableau, list(enumerate(basis)))
+    _oracle_bounded_simplex(tableau, basis, upper, flipped, nrows, pivots, flips)
+    if tableau[-1][-1] != 0:
+        return LPSolution("infeasible", None, ()), pivots, flips
+    tableau.pop()
+    for i in range(nrows):
+        if basis[i] >= nv:
+            for j in range(nv):
+                if tableau[i][j] != 0:
+                    _oracle_pivot(tableau, i, j, pivots)
+                    basis[i] = j
+                    break
+
+    phase2 = [c if hi else F(0) for c, hi in zip(problem.objective, upper)] + [F(0)] * (nrows + 1)
+    for j in range(nv):
+        if flipped[j]:
+            phase2[-1] -= phase2[j] * upper[j]
+            phase2[j] = -phase2[j]
+    tableau.append(phase2)
+    _price_out(tableau, list(enumerate(basis)))
+    _oracle_bounded_simplex(tableau, basis, upper, flipped, nrows, pivots, flips)
+
+    values = [upper[j] if flipped[j] else F(0) for j in range(nv)]
+    for i, j in enumerate(basis):
+        if j < nv:
+            values[j] = upper[j] - tableau[i][-1] if flipped[j] else tableau[i][-1]
+    return LPSolution("optimal", -tableau[-1][-1], tuple(values)), pivots, flips
+
+
 def _solve_recording(problem):
-    """lp_solve(problem) with its pivots as (row, col) and their entries' signs."""
+    """lp_solve(problem) with its pivots as (row, col), their entries' signs
+    and its flips as columns.  A solve that takes more than 1000 steps
+    fails, since no LP here needs that many and a broken ratio test can
+    loop forever."""
     pivots: list[tuple[int, int]] = []
     signs: list[int] = []
-    real = ma._pivot
+    flips: list[int] = []
+    real_pivot, real_flip = ma._pivot, ma._flip
 
-    def spy(tab, dens, row, col):
+    def spy_pivot(tab, dens, row, col):
         pivots.append((row, col))
         signs.append(1 if tab[row][col] > 0 else -1)
-        real(tab, dens, row, col)
+        assert len(pivots) + len(flips) <= 1000, "the simplex does not end"
+        real_pivot(tab, dens, row, col)
+
+    def spy_flip(rows, flipped, col):
+        flips.append(col)
+        assert len(pivots) + len(flips) <= 1000, "the simplex does not end"
+        real_flip(rows, flipped, col)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ma, "_pivot", spy)
-        return lp_solve(problem), pivots, signs
+        mp.setattr(ma, "_pivot", spy_pivot)
+        mp.setattr(ma, "_flip", spy_flip)
+        return lp_solve(problem), pivots, signs, flips
 
 
 def _check(problem) -> LPSolution:
-    sol, pivots, _ = _solve_recording(problem)
-    expected, expected_pivots = oracle_solve(problem)
+    sol, pivots, _, flips = _solve_recording(problem)
+    expected, expected_pivots, expected_flips = oracle_solve(problem)
     assert sol == expected
     assert pivots == expected_pivots
+    assert flips == expected_flips
+    equalities = [(coeffs, "=", rhs) for coeffs, rhs in problem.constraints]
+    rows, _ = oracle_solve_rows(problem.objective, equalities, problem.upper)
+    assert (sol.status, sol.optimum) == (rows.status, rows.optimum)
     return sol
 
 
 def test_matches_oracle_on_seeded_random_lps():
     rng = random.Random(2024)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    statuses = {"optimal": 0, "infeasible": 0}
     for _ in range(2400):
         statuses[_check(_random_lp(rng)).status] += 1
     assert min(statuses.values()) >= 50, statuses
@@ -216,9 +335,10 @@ def test_matches_oracle_on_dma_problems(inst):
     assert _check(_dma_problem(inst)).status == "optimal"
 
 
-def _smce_split_lp(values, n_counts, label_sums) -> LPProblem:
+def _smce_split_lp(values, n_counts, label_sums):
     """The smce LP with each weight w_a = p_a - q_a split into two
-    non-negative columns and its range -1 <= w_a <= 1 written as rows."""
+    non-negative columns and its range -1 <= w_a <= 1 written as rows, as
+    the arguments of `oracle_solve_rows`."""
     d = len(values)
     coeffs = [F(label_sums[a]) - n_counts[a] * values[a] for a in range(d)]
 
@@ -235,7 +355,7 @@ def _smce_split_lp(values, n_counts, label_sums) -> LPProblem:
     for a in range(d):
         constraints += [(w([(a, 1)]), ">=", F(-1)), (w([(a, 1)]), "<=", F(1))]
     objective = tuple(-c for c in coeffs) + tuple(coeffs)
-    return LPProblem(objective, tuple(constraints), (None,) * (2 * d))
+    return objective, constraints, (None,) * (2 * d)
 
 
 def test_smce_matches_the_lp_with_explicit_lower_rows():
@@ -246,22 +366,29 @@ def test_smce_matches_the_lp_with_explicit_lower_rows():
         n_counts = [rng.randrange(0, 6) for _ in range(d)]
         label_sums = [rng.randrange(0, c + 1) for c in n_counts]
         m = max(1, sum(n_counts))
-        expected, _ = oracle_solve(_smce_split_lp(values, n_counts, label_sums))
+        expected, _ = oracle_solve_rows(*_smce_split_lp(values, n_counts, label_sums))
         assert expected.status == "optimal"
         assert _smce_from_counts(values, n_counts, label_sums, m) == -expected.optimum / m
 
 
 def _smce_box_lp(values, coeffs) -> LPProblem:
     """The smce LP over w' = w + 1 in [0, 2]: the maximum over w is the
-    maximum over w' less the sum of the coefficients."""
+    maximum over w' less the sum of the coefficients.  Each bound
+    |w'_(a+1) - w'_a| <= gap is two equalities, each with a slack column
+    bounded by gap + 2, which no feasible w' reaches."""
     d = len(values)
+    nv = 3 * d - 2
     constraints = []
+    upper = [F(2)] * d
     for a in range(d - 1):
         gap = values[a + 1] - values[a]
-        row = [F(0)] * d
-        row[a], row[a + 1] = F(-1), F(1)
-        constraints += [(tuple(row), "<=", gap), (tuple(-c for c in row), "<=", gap)]
-    return LPProblem(tuple(-c for c in coeffs), tuple(constraints), (F(2),) * d)
+        for sign in (1, -1):
+            row = [F(0)] * nv
+            row[a], row[a + 1] = F(-sign), F(sign)
+            row[d + len(constraints)] = F(1)
+            constraints.append((tuple(row), gap))
+            upper.append(gap + 2)
+    return LPProblem(tuple(-c for c in coeffs) + (F(0),) * (nv - d), tuple(constraints), tuple(upper))
 
 
 def _check_smce(values, n_counts, label_sums):
@@ -273,7 +400,7 @@ def _check_smce(values, n_counts, label_sums):
     box = lp_solve(_smce_box_lp(values, coeffs))
     assert box.status == "optimal"
     assert got == (-box.optimum - sum(coeffs)) / m
-    split, _ = oracle_solve(_smce_split_lp(values, n_counts, label_sums))
+    split, _ = oracle_solve_rows(*_smce_split_lp(values, n_counts, label_sums))
     assert got == -split.optimum / m
 
 
@@ -337,15 +464,8 @@ _coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def _lps(draw):
     nv = draw(st.integers(1, 4))
     nc = draw(st.integers(0, 4))
-    constraints = tuple(
-        (
-            tuple(draw(_coeff) for _ in range(nv)),
-            draw(st.sampled_from(["<=", "=", ">="])),
-            draw(_coeff),
-        )
-        for _ in range(nc)
-    )
-    upper = tuple(draw(st.one_of(st.none(), st.fractions(0, 2, max_denominator=3))) for _ in range(nv))
+    constraints = tuple((tuple(draw(_coeff) for _ in range(nv)), draw(_coeff)) for _ in range(nc))
+    upper = tuple(draw(st.fractions(0, 2, max_denominator=3)) for _ in range(nv))
     objective = tuple(draw(_coeff) for _ in range(nv))
     return LPProblem(objective, constraints, upper)
 
@@ -358,17 +478,36 @@ def test_matches_oracle_on_hypothesis_lps(problem):
 
 def test_negative_drive_out_pivot():
     # -x - y = 0 keeps its artificial basic at 0 through phase 1 (no entry
-    # of the row is positive), so the drive-out pivots on the -1 of x.
+    # of the row is positive, and an artificial has no bound to rise to),
+    # so the drive-out pivots on the -1 of x.  The other rows are
+    # y + z >= 1 and x + z <= 3 with the slack columns s1 and s2.
     problem = LPProblem(
-        objective=(F(-1), F(0), F(1)),
+        objective=(F(-1), F(0), F(1), F(0), F(0)),
         constraints=(
-            ((F(-1), F(-1), F(0)), "=", F(0)),
-            ((F(0), F(1), F(1)), ">=", F(1)),
-            ((F(1), F(0), F(1)), "<=", F(3)),
+            ((F(-1), F(-1), F(0), F(0), F(0)), F(0)),
+            ((F(0), F(1), F(1), F(-1), F(0)), F(1)),
+            ((F(1), F(0), F(1), F(0), F(1)), F(3)),
         ),
-        upper=(None,) * 3,
+        upper=(F(5),) * 5,
     )
-    sol, pivots, signs = _solve_recording(problem)
+    sol, pivots, signs, _ = _solve_recording(problem)
     assert (0, 0) in pivots and signs[pivots.index((0, 0))] < 0
-    assert sol == oracle_solve(problem)[0]
-    assert sol == LPSolution("optimal", F(1), (F(0), F(0), F(1)))
+    assert sol == _check(problem)
+    assert sol == LPSolution("optimal", F(1), (F(0), F(0), F(1), F(0), F(2)))
+
+
+def test_dma_tableau_has_one_row_per_group(monkeypatch):
+    # Bounds are flips, never rows: both phases run on |G| constraint rows
+    # of 2n variable columns and the rhs.
+    shapes = []
+    real = ma._simplex
+
+    def spy(rows, dens, basis, flipped, nrows):
+        shapes.append((nrows, len(rows[0])))
+        real(rows, dens, basis, flipped, nrows)
+
+    monkeypatch.setattr(ma, "_simplex", spy)
+    for _, inst in _family_instances():
+        shapes.clear()
+        ma.dma(inst)
+        assert shapes == [(len(inst.groups), 2 * inst.n + 1)] * 2

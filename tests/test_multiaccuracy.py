@@ -28,11 +28,11 @@ F = Fraction
 
 
 def test_lp_simple_optimal():
-    # min -x - y  s.t.  x + y <= 3, x <= 2, y <= 2, x,y >= 0
+    # min -x - y  s.t.  x + y + s = 3 (s the slack of x + y <= 3), x <= 2, y <= 2
     p = LPProblem(
-        objective=(F(-1), F(-1)),
-        constraints=(((F(1), F(1)), "<=", F(3)),),
-        upper=(F(2), F(2)),
+        objective=(F(-1), F(-1), F(0)),
+        constraints=(((F(1), F(1), F(1)), F(3)),),
+        upper=(F(2), F(2), F(3)),
     )
     sol = lp_solve(p)
     assert sol.status == "optimal"
@@ -41,11 +41,11 @@ def test_lp_simple_optimal():
 
 
 def test_lp_equality_row():
-    # min x - y  s.t.  x + y = 1, x, y >= 0, no upper bounds
+    # min x - y  s.t.  x + y = 1, 0 <= x, y <= 2
     p = LPProblem(
         objective=(F(1), F(-1)),
-        constraints=(((F(1), F(1)), "=", F(1)),),
-        upper=(None, None),
+        constraints=(((F(1), F(1)), F(1)),),
+        upper=(F(2), F(2)),
     )
     sol = lp_solve(p)
     assert sol.status == "optimal"
@@ -54,21 +54,13 @@ def test_lp_equality_row():
 
 
 def test_lp_infeasible():
+    # x - s1 = 2 and x + s2 = 1: x >= 2 and x <= 1 with slack columns
     p = LPProblem(
-        objective=(F(1),),
-        constraints=(((F(1),), ">=", F(2)), ((F(1),), "<=", F(1))),
-        upper=(None,),
+        objective=(F(1), F(0), F(0)),
+        constraints=(((F(1), F(-1), F(0)), F(2)), ((F(1), F(0), F(1)), F(1))),
+        upper=(F(3),) * 3,
     )
     assert lp_solve(p).status == "infeasible"
-
-
-def test_lp_unbounded():
-    p = LPProblem(
-        objective=(F(-1),),
-        constraints=(((F(0),), "<=", F(1)),),
-        upper=(None,),
-    )
-    assert lp_solve(p).status == "unbounded"
 
 
 def test_lp_to_json_round_trips_fields():
@@ -76,27 +68,40 @@ def test_lp_to_json_round_trips_fields():
 
     p = LPProblem(
         objective=(F(1, 3), F(0)),
-        constraints=(((F(2), F(1)), "<=", F(5, 7)),),
-        upper=(F(1), None),
+        constraints=(((F(2), F(1)), F(5, 7)),),
+        upper=(F(1), F(0)),
     )
     d = json.loads(p.to_json())
     assert d["objective"] == ["1/3", "0/1"]
-    assert d["constraints"][0]["rhs"] == "5/7"
-    assert d["upper"] == ["1/1", None]
+    assert d["constraints"] == [{"coeffs": ["2/1", "1/1"], "rhs": "5/7"}]
+    assert d["upper"] == ["1/1", "0/1"]
+
+
+@pytest.mark.parametrize(
+    "objective,constraints,upper",
+    [
+        ((F(1), F(1)), (), (F(1), None)),  # no bound
+        ((F(1), F(1)), (), (F(1), F(-1, 2))),  # a negative bound
+        ((F(1), F(1)), (), (F(1),)),  # one bound short
+        ((F(1), F(1)), (((F(1),), F(1)),), (F(1), F(1))),  # a short row
+    ],
+)
+def test_lp_problem_refuses_other_forms(objective, constraints, upper):
+    with pytest.raises(ValueError):
+        LPProblem(objective, constraints, upper)
 
 
 def _random_lp(rng: random.Random) -> LPProblem:
+    """Equality rows over 1..3 variables, each bounded by one of 0, 1/3, 1,
+    3/2 and 2."""
     nv = rng.randrange(1, 4)
     nc = rng.randrange(1, 4)
 
     def coeff():
         return F(rng.randrange(-4, 5), rng.randrange(1, 4))
 
-    constraints = tuple(
-        (tuple(coeff() for _ in range(nv)), rng.choice(["<=", "=", ">="]), coeff())
-        for _ in range(nc)
-    )
-    upper = tuple(rng.choice((None, F(2))) for _ in range(nv))
+    constraints = tuple((tuple(coeff() for _ in range(nv)), coeff()) for _ in range(nc))
+    upper = tuple(rng.choice((F(0), F(1, 3), F(1), F(3, 2), F(2))) for _ in range(nv))
     return LPProblem(tuple(coeff() for _ in range(nv)), constraints, upper)
 
 
@@ -107,35 +112,19 @@ def test_lp_against_scipy_reference():
     for _ in range(40):
         p = _random_lp(rng)
         sol = lp_solve(p)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for coeffs, rel, rhs in p.constraints:
-            row = [float(c) for c in coeffs]
-            if rel == "<=":
-                a_ub.append(row)
-                b_ub.append(float(rhs))
-            elif rel == ">=":
-                a_ub.append([-v for v in row])
-                b_ub.append(-float(rhs))
-            else:
-                a_eq.append(row)
-                b_eq.append(float(rhs))
         ref = scipy_opt.linprog(
             [float(c) for c in p.objective],
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            A_eq=a_eq or None,
-            b_eq=b_eq or None,
-            bounds=[(0, None if hi is None else float(hi)) for hi in p.upper],
+            A_eq=[[float(c) for c in coeffs] for coeffs, _ in p.constraints],
+            b_eq=[float(rhs) for _, rhs in p.constraints],
+            bounds=[(0, float(hi)) for hi in p.upper],
             method="highs",
         )
         if ref.status == 0:
             assert sol.status == "optimal"
             assert abs(float(sol.optimum) - ref.fun) < 1e-7
             checked += 1
-        elif ref.status == 2:
-            assert sol.status == "infeasible"
-        elif ref.status == 3:
-            assert sol.status == "unbounded"
+        else:
+            assert ref.status == 2 and sol.status == "infeasible"
     assert checked >= 5  # the sample must include real optima
 
 
@@ -182,39 +171,39 @@ def test_dma_problem_shape():
         f = inst.audited.values
         assert p.objective == inst.marginal.probs * 2
         assert len(p.constraints) == len(inst.groups)
-        assert all(rel == "=" for _, rel, _ in p.constraints)
+        assert all(len(coeffs) == 2 * inst.n for coeffs, _ in p.constraints)
         assert p.upper == tuple(1 - v for v in f) + f  # 2n finite bounds
 
 
 def _dma_problem_with_slack_rows(inst: Instance) -> LPProblem:
     """The dma LP written the long way, kept as the reference: variables
-    (g_1..g_n, t_1..t_n); minimize sum m(x) t(x) subject to exact
-    unbiasedness of g on every group, t >= |g - f| as two rows per point,
-    and g <= 1."""
+    (g_1..g_n, t_1..t_n, s_1..s_n, r_1..r_n); minimize sum m(x) t(x)
+    subject to exact unbiasedness of g on every group and t >= |g - f| as
+    two rows per point, g - t + s = f and -g - t + r = -f, with g <= 1,
+    t <= 1 and s, r <= 2.  An optimal t is |g - f| <= 1, and then s and r
+    are at most 2, so no bound but g <= 1 is tight."""
     n = inst.n
     m = inst.marginal
     p = inst.ground_truth
     f = inst.audited
     zero = Fraction(0)
-    objective = tuple([zero] * n + [m[i] for i in range(n)])
-    constraints: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
+    one = Fraction(1)
+    objective = tuple([zero] * n + [m[i] for i in range(n)] + [zero] * (2 * n))
+    constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for S in inst.groups:
-        coeffs = [zero] * (2 * n)
+        coeffs = [zero] * (4 * n)
         for i in S.members:
             coeffs[i] = m[i]
         rhs = sum((m[i] * p[i] for i in S.members), zero)
-        constraints.append((tuple(coeffs), "=", rhs))
-    one = Fraction(1)
+        constraints.append((tuple(coeffs), rhs))
     for i in range(n):
-        row = [zero] * (2 * n)
-        row[i] = one
-        row[n + i] = -one
-        constraints.append((tuple(row), "<=", f[i]))  # g_i - t_i <= f_i
-        row = [zero] * (2 * n)
-        row[i] = -one
-        row[n + i] = -one
-        constraints.append((tuple(row), "<=", -f[i]))  # -g_i - t_i <= -f_i
-    return LPProblem(objective, tuple(constraints), (one,) * n + (None,) * n)
+        row = [zero] * (4 * n)
+        row[i], row[n + i], row[2 * n + i] = one, -one, one
+        constraints.append((tuple(row), f[i]))  # g_i - t_i + s_i = f_i
+        row = [zero] * (4 * n)
+        row[i], row[n + i], row[3 * n + i] = -one, -one, one
+        constraints.append((tuple(row), -f[i]))  # -g_i - t_i + r_i = -f_i
+    return LPProblem(objective, tuple(constraints), (one,) * (2 * n) + (Fraction(2),) * (2 * n))
 
 
 def _check_dma(inst: Instance) -> None:
