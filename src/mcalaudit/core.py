@@ -44,6 +44,8 @@ __all__ = [
 
 # `Fraction("1e-N")` builds 10**N before it can refuse anything; the bound
 # on the exponent is CPython's default limit on the digits of an int string.
+# The exponent's digit string is bounded by the same figure before `int()`
+# reads it, so that `int()` never meets its own limit.
 EXPONENT_CEILING = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
@@ -58,8 +60,11 @@ def rat(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         exponent = _EXPONENT.search(x)
-        if exponent and abs(int(exponent.group(1))) > EXPONENT_CEILING:
-            raise ValueError(f"decimal exponent beyond +-{EXPONENT_CEILING}")
+        if exponent:
+            if len(exponent.group(1)) > EXPONENT_CEILING:
+                raise ValueError(f"decimal exponent longer than {EXPONENT_CEILING} characters")
+            if abs(int(exponent.group(1))) > EXPONENT_CEILING:
+                raise ValueError(f"decimal exponent beyond +-{EXPONENT_CEILING}")
         try:
             return Fraction(x)  # handles both "4/5" and "0.8" exactly
         except ZeroDivisionError:

@@ -15,8 +15,11 @@ computable directly, the decomposition is.
 Cost: dce (and so wdmc per group and dimc per cell) is a min-cost set
 partition of the subgroup, solved by a subset DP over the per-class tables
 of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
-listing the calibrated set.  dmc and dcma score the members of a listed
-set in integers (`_nearest`).  Both refuse k above PARTITION_CEILING with
+listing the calibrated set (`_PartitionScores`).  dcma builds the same
+tables on the whole domain and runs a branch and bound over partitions,
+bounded below by the DP and pruned against the best unbiased partition
+found so far.  dmc scores the members of the listed multicalibrated set in
+integers (`_nearest`).  All three refuse k above PARTITION_CEILING with
 `BudgetExceeded`.  `METRICS` is the one table of the six audited metrics.
 """
 
@@ -26,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     BudgetExceeded,
@@ -52,6 +55,7 @@ from .multiaccuracy import dma, wdma
 
 __all__ = [
     "DistanceResult",
+    "calibrated_set",
     "METRICS",
     "certify",
     "LowDegreeSearchResult",
@@ -70,65 +74,89 @@ __all__ = [
 CLOSURE_CEILING = 20
 
 
+class _PartitionScores:
+    """dce's tables over a subgroup S: the score of every class and the
+    least score of a partition of every subset of S's member positions.
+
+    Class C costs sum_{x in C} m(x)|f(x) - mean(C)|, the cost of giving C
+    its class mean.  With E = lcm of f's denominators on S, that is
+      sum_{x in C} M(x) (E/b(x)) |a(x) mass[C] - b(x) num[C]| / (scale E mass[C])
+    for f(x) = a(x)/b(x) and M(x) = scale m(x); over the common denominator
+    scale E L, L = lcm of all mass[C], every cost is an integer.  Below the
+    cost sit W bits holding the class's share of the value key: the shares
+    of disjoint classes add without a carry past W bits, so the least score
+    is the cheapest partition and, among those, the one whose value vector
+    is lexicographically smallest.  `cost[C]` is class C's score and
+    `best[R]` the least score of a partition of R (best[0] = 0), a lower
+    bound on the score of any partition of R.
+    """
+
+    def __init__(self, inst: Instance, S: Subgroup):
+        t = _ClassTables(inst, S)
+        f = inst.audited
+        fs = [f[x] for x in S.members]
+        full = (1 << t.k) - 1
+        E = lcm(*(v.denominator for v in fs))
+        weight = [t.mass[1 << j] * (E // v.denominator) for j, v in enumerate(fs)]
+        L = lcm(*t.mass[1:])
+        W = t.width * t.k
+        code = t.code
+        cost = [0] * (full + 1)
+        for C in range(1, full + 1):
+            mc, nc = t.mass[C], t.num[C]
+            total = 0
+            bits = C
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                j = low.bit_length() - 1
+                total += weight[j] * abs(fs[j].numerator * mc - fs[j].denominator * nc)
+            cost[C] = (total * (L // mc) << W) + code[C]
+
+        # R's lowest member is in a class with some subset of the rest.
+        best = [0] * (full + 1)
+        for R in range(1, full + 1):
+            low = R & -R
+            rest = R ^ low
+            b = cost[R]
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                c = cost[sub | low] + best[rest ^ sub]
+                if c < b:
+                    b = c
+            best[R] = b
+
+        self.tables = t
+        self.L = L
+        self.W = W
+        self.cost = cost
+        self.best = best
+        self._den = E * L * t.mass[full]
+        self._f = f
+        self._members = S.members
+
+    def result(self, score: int) -> DistanceResult:
+        """The conditional distance a partition's score stands for, and its
+        witness: the global vector that agrees with f off S."""
+        values = self.tables.values(score & ((1 << self.W) - 1))
+        witness = self._f.with_values(dict(zip(self._members, values)))
+        return DistanceResult(value=Fraction(score >> self.W, self._den), witness=witness)
+
+
 def dce(inst: Instance, S: Subgroup) -> DistanceResult:
     """Distance to calibration of the audited predictor conditioned on S.
 
     Minimizes the conditional l1 distance over cal(D|S), as a min-cost set
-    partition of S: class C costs sum_{x in C} m(x)|f(x) - mean(C)|, the
-    cost of giving C its class mean.  A subset DP over the class tables
+    partition of S (`_PartitionScores`): a subset DP over the class tables
     finds the cheapest partition in exactly O(3^k) integer steps without
     listing cal(D|S).  The witness is a global vector agreeing with the
     audited predictor off S.  Among the cheapest partitions it takes the
     lexicographically smallest restricted value vector; the DP score
     carries that vector's key in its low bits, so ties cost nothing extra.
     """
-    t = _ClassTables(inst, S)
-    f = inst.audited
-    fs = [f[x] for x in S.members]
-    full = (1 << t.k) - 1
-    # With E = lcm of f's denominators on S, class C costs
-    #   sum_{x in C} M(x) (E/b(x)) |a(x) mass[C] - b(x) num[C]| / (scale E mass[C])
-    # for f(x) = a(x)/b(x) and M(x) = scale m(x); over the common
-    # denominator scale E L, L = lcm of all mass[C], every cost is an integer.
-    E = lcm(*(v.denominator for v in fs))
-    weight = [t.mass[1 << j] * (E // v.denominator) for j, v in enumerate(fs)]
-    L = lcm(*t.mass[1:])
-    # Below the cost sit W bits holding the class's share of the value key:
-    # the shares of disjoint classes add without a carry past W bits, so the
-    # least score is the cheapest partition and, among those, the one whose
-    # value vector is lexicographically smallest.
-    W = t.width * t.k
-    code = t.code
-    cost = [0] * (full + 1)
-    for C in range(1, full + 1):
-        mc, nc = t.mass[C], t.num[C]
-        total = 0
-        bits = C
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            j = low.bit_length() - 1
-            total += weight[j] * abs(fs[j].numerator * mc - fs[j].denominator * nc)
-        cost[C] = (total * (L // mc) << W) + code[C]
-
-    # best[R]: the least score of a partition of R; its class holding R's
-    # lowest member is that member plus some subset of the rest.
-    best = [0] * (full + 1)
-    for R in range(1, full + 1):
-        low = R & -R
-        rest = R ^ low
-        b = cost[R]
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            c = cost[sub | low] + best[rest ^ sub]
-            if c < b:
-                b = c
-        best[R] = b
-
-    values = t.values(best[full] & ((1 << W) - 1))
-    witness = f.with_values({x: values[j] for j, x in enumerate(S.members)})
-    return DistanceResult(value=Fraction(best[full] >> W, E * L * t.mass[full]), witness=witness)
+    scores = _PartitionScores(inst, S)
+    return scores.result(scores.best[-1])
 
 
 def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
@@ -144,9 +172,8 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Distance to multicalibration: min l1 distance over mcal_C(D).
     Coordinates no group covers are free in every member, so the witness
     copies the audited predictor there; ties go to the lexicographically
-    smallest witness.  Calibration on a group implies zero bias on it, so
-    no bias filter runs."""
-    return _nearest(inst, multicalibrated_set(inst, budget=budget), ())
+    smallest witness."""
+    return _nearest(inst, multicalibrated_set(inst, budget=budget))
 
 
 def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
@@ -205,33 +232,78 @@ def dimc(inst: Instance) -> DistanceResult:
 def dcma(inst: Instance) -> DistanceResult:
     """Distance to the globally calibrated, multiaccurate predictors: the
     nearest member of cal(D) with zero bias on every group, ties going to
-    the lexicographically smallest."""
-    return _nearest(inst, calibrated_set(inst, Subgroup(range(inst.n))), inst.groups)
+    the lexicographically smallest.
+
+    A depth-first branch and bound over dce's partition scores on the whole
+    domain.  A node is a remainder R of unassigned points; as in
+    `calibrated_set`, R's lowest member joins each subset of the rest to
+    form the next class C, tried in increasing order of the bound
+    score + cost[C] + best[R ^ C] and pruned once that bound reaches the
+    incumbent.  A partition is unbiased on a group S exactly when the
+    integer biases of its classes over scale L sum to 0 on S, where class C
+    adds num[C] mass[C & S] (L / mass[C]) - L num[C & S]; a leaf is accepted
+    only then.  The ground truth itself (all singletons) is unbiased, so it
+    is the first incumbent.  Scores carry the value key in their low bits,
+    so the least accepted score is the lexicographically smallest of the
+    nearest members.  The domain has mass 1, so the conditional distance
+    that `_PartitionScores` reports is the l1 distance.
+    """
+    scores = _PartitionScores(inst, Subgroup(range(inst.n)))
+    t, L, cost, best = scores.tables, scores.L, scores.cost, scores.best
+    mass, num = t.mass, t.num
+    groups = [sum(1 << x for x in S.members) for S in inst.groups]
+    shares: dict[int, tuple[int, ...]] = {}  # class -> its bias on each group
+    top = sum(cost[1 << j] for j in range(t.k))
+
+    def search(R: int, score: int, bias: tuple[int, ...]):
+        nonlocal top
+        low = R & -R
+        rest = R ^ low
+        children = []
+        sub = rest
+        while True:
+            C = sub | low
+            bound = score + cost[C] + best[R ^ C]
+            if bound < top:
+                children.append((bound, C))
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        children.sort()
+        for bound, C in children:
+            if bound >= top:
+                return
+            share = shares.get(C)
+            if share is None:
+                q = L // mass[C]
+                share = shares[C] = tuple(num[C] * mass[C & g] * q - L * num[C & g] for g in groups)
+            after = tuple(a + b for a, b in zip(bias, share))
+            if C != R:
+                search(R ^ C, score + cost[C], after)
+            elif not any(after):
+                top = bound
+
+    search((1 << t.k) - 1, 0, (0,) * len(groups))
+    return scores.result(top)
 
 
-def _nearest(inst: Instance, candidates: Sequence, unbiased_on: Iterable[Subgroup]) -> DistanceResult:
-    """The l1-nearest candidate to f among those with zero bias on every
-    group of `unbiased_on`.  With the marginal's products over one common
-    denominator `scale` and the values over another, Q, every bias and
+def _nearest(inst: Instance, candidates: Sequence) -> DistanceResult:
+    """The l1-nearest candidate to f.  With the marginal's products over one
+    common denominator `scale` and the values over another, Q, every
     distance is an integer sum.  A None coordinate (one no group covers)
     takes f's value at cost zero; as every candidate has its Nones at the
     same places and None == None, the raw tuples break ties as the
     completed vectors do: the lexicographically smallest wins."""
     n = inst.n
-    m, p, f = inst.marginal, inst.ground_truth, inst.audited
-    scale = lcm(*(q.denominator for x in range(n) for q in (m[x], m[x] * p[x], m[x] * f[x])))
+    m, f = inst.marginal, inst.audited
+    scale = lcm(*(q.denominator for x in range(n) for q in (m[x], m[x] * f[x])))
     Q = lcm(*{v.denominator for cand in candidates for v in cand if v is not None})
     MQ = [(m[x] * scale).numerator * Q for x in range(n)]
     fq = [(m[x] * f[x] * scale).numerator * Q for x in range(n)]
-    targets = [(S.members, sum((m[x] * p[x] * scale).numerator for x in S.members) * Q) for S in unbiased_on]
-    scored = (
-        (sum(abs(fq[x] - mv[x]) for x in range(n)), cand)
+    best, best_cand = min(
+        (sum(abs(fq[x] - MQ[x] * v.numerator // v.denominator) for x, v in enumerate(cand) if v is not None), cand)
         for cand in candidates
-        for mv in [[fq[x] if v is None else MQ[x] * v.numerator // v.denominator for x, v in enumerate(cand)]]
-        if all(sum(mv[x] for x in members) == target for members, target in targets)
     )
-    # p* (off the None coordinates) is an unbiased candidate: `scored` is non-empty.
-    best, best_cand = min(scored)
     witness = PredictorVec([f[x] if v is None else v for x, v in enumerate(best_cand)])
     return DistanceResult(Fraction(best, scale * Q), witness)
 

@@ -15,8 +15,11 @@ computed once per non-empty mask, each mask extending the mask without its
 lowest bit (two integer additions and one exact division per mask).
 `calibrated_set` streams partitions as tuples of class masks and
 deduplicates candidates as integer keys built from the ranks of the class
-means; `distances.dce` runs an O(3^k) subset DP over the same tables.
-Both refuse k > PARTITION_CEILING before they build a table.
+means; its callers are `enumerate --set cal` and the multicalibration
+join below.  `distances.dce` runs an O(3^k) subset DP over the same
+tables, and `distances.dcma` a branch and bound bounded by that DP, with
+no partition stream.  All refuse k > PARTITION_CEILING before they build a
+table.
 
 Multicalibrated predictors are assembled by joining per-group calibrated
 sets under agreement on overlaps.

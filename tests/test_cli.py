@@ -393,6 +393,13 @@ def test_audit_refuses_a_long_decimal_exponent_at_once():
     assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("exponent", ["9" * 5000, "0" * 5000 + "1"])
+def test_audit_refuses_an_exponent_of_many_digits_in_its_own_words(exponent):
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(f=["1e" + exponent, "1/2"]))
+    assert r.exit_code == 2, r.output
+    assert r.output == "error: cannot read instance: decimal exponent longer than 4300 characters\n"
+
+
 def test_audit_refuses_a_huge_degree_at_once(tmp_path):
     p = tmp_path / "tp.json"
     p.write_text(_tp_json("0"))

@@ -36,8 +36,13 @@ def test_rat_bounds_the_decimal_exponent():
     assert rat(" 25E-1 ") == Fraction(5, 2)
     assert rat("1e-4300") == Fraction(1, 10**4300)
     assert rat("1e4_300") == 10**4300
-    for text in ("1e-4301", "1E+4301", "2.5e-2000000", "1e" + "9" * 5000):
-        with pytest.raises(ValueError):
+    assert rat("1e" + "0" * 4299 + "1") == 10
+    for text in ("1e-4301", "1E+4301", "2.5e-2000000"):
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            rat(text)
+    # read before int(), whose own limit on digits would speak first
+    for text in ("1e" + "9" * 5000, "1e" + "0" * 5000 + "1"):
+        with pytest.raises(ValueError, match="^decimal exponent longer than 4300 characters$"):
             rat(text)
 
 

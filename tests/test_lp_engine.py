@@ -511,3 +511,36 @@ def test_dma_tableau_has_one_row_per_group(monkeypatch):
         shapes.clear()
         ma.dma(inst)
         assert shapes == [(len(inst.groups), 2 * inst.n + 1)] * 2
+
+
+def test_a_phase_that_does_not_end_is_an_internal_error(monkeypatch):
+    # A ratio test that pivots a variable to its bound and then drops that
+    # variable's flip is a solver defect; on this LP (one of the seeded
+    # random LPs, which is infeasible) phase 1 loops for ever.  The step
+    # bound ends it after STEPS_PER_SIZE * (2 rows + 3 columns) pivots and
+    # flips.
+    problem = LPProblem(
+        objective=(F(1), F(-1), F(3)),
+        constraints=(((F(4), F(1, 2), F(-3)), F(0)), ((F(2), F(1, 3), F(1, 2)), F(1))),
+        upper=(F(2), F(1), F(1, 3)),
+    )
+    assert _check(problem).status == "infeasible"
+    real_pivot, real_flip = ma._pivot, ma._flip
+    to_bound = [False]
+
+    def pivot(tab, dens, row, col):
+        to_bound[0] = tab[row][col] < 0
+        real_pivot(tab, dens, row, col)
+
+    def flip(rows, flipped, col):
+        if to_bound[0]:
+            to_bound[0] = False
+            return
+        real_flip(rows, flipped, col)
+
+    monkeypatch.setattr(ma, "_pivot", pivot)
+    monkeypatch.setattr(ma, "_flip", flip)
+    with pytest.raises(RuntimeError, match=r"^simplex phase took \d+ pivots and flips on 2 rows and 3 columns$") as e:
+        lp_solve(problem)
+    # A pivot and its flip count two steps, so the bound may be passed by one.
+    assert int(str(e.value).split()[3]) - ma.STEPS_PER_SIZE * 5 in (0, 1)
