@@ -48,6 +48,10 @@ __all__ = [
 # reads it, so that `int()` never meets its own limit.
 EXPONENT_CEILING = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+# Every other run of digits (the integer part, the decimals, a numerator or
+# a denominator) is read by `int()` too, so a longer one is refused first.
+DIGITS_CEILING = 4300
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
 
 
 def rat(x) -> Fraction:
@@ -65,6 +69,11 @@ def rat(x) -> Fraction:
                 raise ValueError(f"decimal exponent longer than {EXPONENT_CEILING} characters")
             if abs(int(exponent.group(1))) > EXPONENT_CEILING:
                 raise ValueError(f"decimal exponent beyond +-{EXPONENT_CEILING}")
+        # a string no longer than the ceiling holds no longer run
+        if len(x) > DIGITS_CEILING and any(
+            len(run) - run.count("_") > DIGITS_CEILING for run in _DIGIT_RUN.findall(x)
+        ):
+            raise ValueError(f"more than {DIGITS_CEILING} digits in a row")
         try:
             return Fraction(x)  # handles both "4/5" and "0.8" exactly
         except ZeroDivisionError:

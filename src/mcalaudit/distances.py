@@ -18,9 +18,11 @@ of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
 listing the calibrated set (`_PartitionScores`).  dcma builds the same
 tables on the whole domain and runs a branch and bound over partitions,
 bounded below by the DP and pruned against the best unbiased partition
-found so far.  dmc scores the members of the listed multicalibrated set in
-integers (`_nearest`).  All three refuse k above PARTITION_CEILING with
-`BudgetExceeded`.  `METRICS` is the one table of the six audited metrics.
+found so far.  dmc lists no multicalibrated set: a branch and bound joins
+the per-group calibrated sets, each candidate scored once in integers.
+All three refuse k above PARTITION_CEILING with `BudgetExceeded`, and dmc
+also refuses a per-group Bell-number product above its budget.  `METRICS`
+is the one table of the six audited metrics.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     BudgetExceeded,
@@ -44,12 +46,12 @@ from .core import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    _check_bell_product,
     _ClassTables,
     calibrated_set,
     is_calibrated,
     is_multiaccurate,
     is_multicalibrated,
-    multicalibrated_set,
 )
 from .multiaccuracy import dma, wdma
 
@@ -172,8 +174,103 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Distance to multicalibration: min l1 distance over mcal_C(D).
     Coordinates no group covers are free in every member, so the witness
     copies the audited predictor there; ties go to the lexicographically
-    smallest witness."""
-    return _nearest(inst, multicalibrated_set(inst, budget=budget))
+    smallest witness.
+
+    A depth-first branch and bound over the per-group calibrated sets,
+    joined under agreement on overlaps.  With m(x)f(x) over one common
+    denominator `scale` and the candidate values over another, Q, each
+    candidate is scored once, as the integer sum of |m(x)f(x) - m(x)v(x)|
+    over the points it assigns first.  The group with the most candidates
+    is joined first, then each time the group with the most points already
+    joined (ties to the longer list); each later group's candidates sit in
+    buckets keyed by their values on those points, sorted by score, so a
+    node looks up the one bucket that agrees with it.  Scores and keys are
+    computed column by column, one table lookup per value.  A branch is
+    pruned once its score plus the least score of every later group
+    exceeds the best complete score, at first the ground truth's; equal
+    scores go on, so that among the nearest members the smallest wins.
+    The Bell-product budget is checked first, as for `multicalibrated_set`.
+    """
+    _check_bell_product(inst, budget)
+    n = inst.n
+    m, f = inst.marginal, inst.audited
+    # calibrated_set decodes every value from one short table of class
+    # means, so a group's candidates share a few Fraction objects.  They
+    # are read column by column, by identity (`objects` holds each one, so
+    # no id is reused while dmc runs), and each object is put over Q once.
+    cal = []
+    objects: dict[int, Fraction] = {}
+    for S in inst.groups:
+        cands = calibrated_set(inst, S)
+        columns = list(zip(*cands))
+        ids = [list(map(id, column)) for column in columns]
+        for column, column_ids in zip(columns, ids):
+            objects.update(zip(column_ids, column))
+        cal.append((S.members, cands, ids))
+    Q = lcm(*{v.denominator for v in objects.values()})
+    over_q = {i: v.numerator * (Q // v.denominator) for i, v in objects.items()}
+    # scale clears every m(x) and m(x)f(x), so both divisions are exact
+    scale = lcm(*(m[x].denominator * f[x].denominator for x in range(n)))
+    M = [m[x].numerator * (scale // m[x].denominator) for x in range(n)]
+    fq = [M[x] * f[x].numerator // f[x].denominator * Q for x in range(n)]
+    cost = [{i: abs(fq[x] - M[x] * v) for i, v in over_q.items()} for x in range(n)]
+    zero = dict.fromkeys(over_q, 0)
+
+    # levels[i] = (points joined earlier, points first joined here with
+    # their positions, candidates, buckets of (score, candidate index))
+    levels = []
+    least = []  # least[i]: the least score of a candidate of level i
+    covered: set[int] = set()
+    while cal:
+        members, cands, ids = cal.pop(
+            max(range(len(cal)), key=lambda i: (len(covered.intersection(cal[i][0])), len(cal[i][1])))
+        )
+        shared = [j for j, x in enumerate(members) if x in covered]
+        # a member joined earlier scores 0 here
+        tables = [zero if x in covered else cost[x] for x in members]
+        scores = map(sum, zip(*(map(t.__getitem__, column) for t, column in zip(tables, ids))))
+        keys = zip(*(map(over_q.__getitem__, ids[j]) for j in shared)) if shared else [()] * len(cands)
+        buckets: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for key, score, c in zip(keys, scores, range(len(cands))):
+            buckets.setdefault(key, []).append((score, c))
+        for bucket in buckets.values():
+            bucket.sort()
+        least.append(min(bucket[0][0] for bucket in buckets.values()))
+        fresh = [(j, x) for j, x in enumerate(members) if x not in covered]
+        levels.append((tuple(members[j] for j in shared), fresh, cands, buckets))
+        covered.update(members)
+    floor = [sum(least[i:]) for i in range(1, len(levels) + 1)]  # floor[i]: levels after i
+
+    # The ground truth is multicalibrated (every group's all-singleton
+    # candidate), so it is the first incumbent.
+    p = inst.ground_truth
+    best = tuple(p[x].numerator * (Q // p[x].denominator) if x in covered else None for x in range(n))
+    top = sum(abs(fq[x] - M[x] * v) for x, v in enumerate(best) if v is not None)
+    assign: list[Optional[int]] = [None] * n
+
+    def search(i: int, score: int):
+        nonlocal top, best
+        if i == len(levels):
+            if score < top or tuple(assign) < best:
+                top, best = score, tuple(assign)
+            return
+        shared, fresh, cands, buckets = levels[i]
+        bucket = buckets.get(tuple([assign[x] for x in shared]))
+        if bucket is None:
+            return
+        rest = floor[i]
+        for added, c in bucket:
+            total = score + added
+            if total + rest > top:
+                return
+            cand = cands[c]
+            for j, x in fresh:
+                assign[x] = over_q[id(cand[j])]
+            search(i + 1, total)
+
+    search(0, 0)
+    witness = PredictorVec([f[x] if v is None else Fraction(v, Q) for x, v in enumerate(best)])
+    return DistanceResult(Fraction(top, scale * Q), witness)
 
 
 def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
@@ -285,27 +382,6 @@ def dcma(inst: Instance) -> DistanceResult:
 
     search((1 << t.k) - 1, 0, (0,) * len(groups))
     return scores.result(top)
-
-
-def _nearest(inst: Instance, candidates: Sequence) -> DistanceResult:
-    """The l1-nearest candidate to f.  With the marginal's products over one
-    common denominator `scale` and the values over another, Q, every
-    distance is an integer sum.  A None coordinate (one no group covers)
-    takes f's value at cost zero; as every candidate has its Nones at the
-    same places and None == None, the raw tuples break ties as the
-    completed vectors do: the lexicographically smallest wins."""
-    n = inst.n
-    m, f = inst.marginal, inst.audited
-    scale = lcm(*(q.denominator for x in range(n) for q in (m[x], m[x] * f[x])))
-    Q = lcm(*{v.denominator for cand in candidates for v in cand if v is not None})
-    MQ = [(m[x] * scale).numerator * Q for x in range(n)]
-    fq = [(m[x] * f[x] * scale).numerator * Q for x in range(n)]
-    best, best_cand = min(
-        (sum(abs(fq[x] - MQ[x] * v.numerator // v.denominator) for x, v in enumerate(cand) if v is not None), cand)
-        for cand in candidates
-    )
-    witness = PredictorVec([f[x] if v is None else v for x, v in enumerate(best_cand)])
-    return DistanceResult(Fraction(best, scale * Q), witness)
 
 
 @dataclass(frozen=True)
@@ -441,7 +517,7 @@ def local_min_probe(
     rescaled; the result is clipped to [0,1]^X, which stays inside the
     ball), evaluates the metric exactly at each perturbed predictor, and
     reports the best observed value.  Deterministic given the seed.
-    `budget` bounds dmc's multicalibration join.
+    `budget` is dmc's Bell-product budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -15,14 +15,17 @@ computed once per non-empty mask, each mask extending the mask without its
 lowest bit (two integer additions and one exact division per mask).
 `calibrated_set` streams partitions as tuples of class masks and
 deduplicates candidates as integer keys built from the ranks of the class
-means; its callers are `enumerate --set cal` and the multicalibration
-join below.  `distances.dce` runs an O(3^k) subset DP over the same
-tables, and `distances.dcma` a branch and bound bounded by that DP, with
-no partition stream.  All refuse k > PARTITION_CEILING before they build a
-table.
+means; its callers are `enumerate --set cal`, the multicalibration join
+below (`enumerate --set mcal`) and `distances.dmc`, which takes each
+group's candidates from it.  `distances.dce` runs an O(3^k) subset DP over
+the same tables, and `distances.dcma` a branch and bound bounded by that
+DP, with no partition stream.  All refuse k > PARTITION_CEILING before
+they build a table.
 
 Multicalibrated predictors are assembled by joining per-group calibrated
-sets under agreement on overlaps.
+sets under agreement on overlaps; the join and dmc refuse first when the
+product of the per-group Bell numbers exceeds their budget
+(`_check_bell_product`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .core import BudgetExceeded, Instance, PredictorVec, Subgroup
 # Bell(12) = 4,213,597; beyond this the partition stream is impractical.
 PARTITION_CEILING = 12
 # Default bound on the per-group Bell-number product of the
-# multicalibration join (`multicalibrated_set`).
+# multicalibration join (`multicalibrated_set`) and of dmc's search.
 DEFAULT_BUDGET = 10_000_000
 
 __all__ = [
@@ -189,6 +192,22 @@ def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], .
     return tuple(t.values(key) for key in sorted(found))
 
 
+def _check_bell_product(inst: Instance, budget: int) -> None:
+    """Refuse a multicalibration join whose worst case, the product of the
+    per-group Bell numbers, exceeds `budget`; checked before any list is
+    built, by `multicalibrated_set` and by `distances.dmc`."""
+    bound = 1
+    for g in inst.groups:
+        bound *= bell_number(len(g))
+    if bound > budget:
+        raise BudgetExceeded(
+            f"per-group Bell-number product {bound} exceeds budget {budget}; "
+            "raise the budget (MCAL_AUDIT_BUDGET in the CLI)",
+            bound,
+            budget,
+        )
+
+
 def multicalibrated_set(
     inst: Instance, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[Optional[Fraction], ...]]:
@@ -202,18 +221,8 @@ def multicalibrated_set(
     The worst-case join size is the product of per-group Bell numbers;
     a budget refusal (`BudgetExceeded`) reports the offending bound.
     """
+    _check_bell_product(inst, budget)
     groups = list(inst.groups)
-    bound = 1
-    for g in groups:
-        bound *= bell_number(len(g))
-    if bound > budget:
-        raise BudgetExceeded(
-            f"per-group Bell-number product {bound} exceeds budget {budget}; "
-            "raise the budget (MCAL_AUDIT_BUDGET in the CLI)",
-            bound,
-            budget,
-        )
-
     cal_sets = {g.members: calibrated_set(inst, g) for g in groups}
 
     # Join order: most overlap with already-joined coordinates first, to

@@ -228,7 +228,6 @@ def test_dcma_lists_no_candidate_set(monkeypatch):
 
     monkeypatch.setattr(mcalaudit.enumeration, "calibrated_set", listed)
     monkeypatch.setattr(mcalaudit.distances, "calibrated_set", listed)
-    monkeypatch.setattr(mcalaudit.distances, "_nearest", listed)
     _, inst = gen_dcma_example(Fraction(1, 100))
     assert dcma(inst).value == Fraction(41, 600)
     _check_dcma(_tie_heavy(random.Random(1), 7))

@@ -400,6 +400,13 @@ def test_audit_refuses_an_exponent_of_many_digits_in_its_own_words(exponent):
     assert r.output == "error: cannot read instance: decimal exponent longer than 4300 characters\n"
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000])
+def test_audit_refuses_a_long_run_of_digits_in_its_own_words(text):
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(f=[text, "1/2"]))
+    assert r.exit_code == 2, r.output
+    assert r.output == "error: cannot read instance: more than 4300 digits in a row\n"
+
+
 def test_audit_refuses_a_huge_degree_at_once(tmp_path):
     p = tmp_path / "tp.json"
     p.write_text(_tp_json("0"))

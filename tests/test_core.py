@@ -46,6 +46,19 @@ def test_rat_bounds_the_decimal_exponent():
             rat(text)
 
 
+def test_rat_refuses_a_long_run_of_digits_in_its_own_words():
+    assert rat("1" * 4300) == int("1" * 4300)
+    assert rat("0." + "1" * 4300) == Fraction(int("1" * 4300), 10**4300)
+    assert rat("1/" + "3" * 4300) == Fraction(1, int("3" * 4300))
+    assert rat("1_" * 4299 + "1") == int("1" * 4300)  # underscores are no digits
+    thousands = int("1" * 3000)
+    assert rat("1" * 3000 + "." + "1" * 3000) == thousands + Fraction(thousands, 10**3000)
+    # read before int(), whose own limit on digits would speak first
+    for text in ("1" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000, "1" * 4301, "1_" * 4300 + "1"):
+        with pytest.raises(ValueError, match="^more than 4300 digits in a row$"):
+            rat(text)
+
+
 def test_rat_rejects_floats():
     with pytest.raises(TypeError):
         rat(0.8)

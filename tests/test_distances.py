@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,14 @@ from mcalaudit import (
     wdmc,
 )
 from mcalaudit.core import instance_from_dict
+import mcalaudit.distances
+import mcalaudit.enumeration
 from mcalaudit.distances import CLOSURE_CEILING, METRICS, certify
-from mcalaudit.enumeration import multicalibrated_set
+from mcalaudit.enumeration import DEFAULT_BUDGET, multicalibrated_set
 from mcalaudit.instances import (
     gen_cdmc_example,
     gen_dcma_example,
+    gen_hypercube,
     gen_random,
     gen_ring,
     gen_three_point,
@@ -74,10 +78,22 @@ def test_wdmc_and_wdma_report_the_first_of_tied_groups():
         assert wdma(inst) == (Fraction(1, 8), first)
 
 
-def _completed_mcal(inst):
+def _completed_mcal(inst, budget=DEFAULT_BUDGET):
     """The multicalibrated set with f filled in where no group constrains."""
     f = inst.audited
-    return [f.with_values({x: v for x, v in enumerate(c) if v is not None}) for c in multicalibrated_set(inst)]
+    return [f.with_values({x: v for x, v in enumerate(c) if v is not None}) for c in multicalibrated_set(inst, budget)]
+
+
+def _check_dmc(inst, budget=DEFAULT_BUDGET):
+    """dmc against the Fraction oracle: every member of the listed and
+    completed multicalibrated set scored by l1_distance, the least value
+    with the lexicographically smallest witness.  Returns the number of
+    nearest members."""
+    f, m = inst.audited, inst.marginal
+    scored = sorted((l1_distance(f, g, m), g.values) for g in _completed_mcal(inst, budget))
+    r = dmc(inst, budget)
+    assert (r.value, r.witness.values) == scored[0]
+    return sum(v == scored[0][0] for v, _ in scored)
 
 
 def test_dmc_witness_is_multicalibrated():
@@ -117,6 +133,90 @@ def test_dmc_matches_scoring_the_completed_set(n, k, seed, drop):
     value, values = min((l1_distance(f, g, inst.marginal), g.values) for g in _completed_mcal(inst))
     r = dmc(inst)
     assert (r.value, r.witness.values) == (value, values)
+
+
+def _seven_points(seed, sizes):
+    """The first gen_random instance on 7 points, from a seeded stream,
+    whose sorted group sizes are `sizes`: audit-large's shapes."""
+    rng = random.Random(seed)
+    while True:
+        inst = gen_random(7, len(sizes), seed=rng.randrange(2**32), max_group_size=6)
+        if tuple(sorted(len(g) for g in inst.groups)) == sizes:
+            return inst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dmc_matches_the_oracle_on_seven_points_with_a_six_point_group(seed):
+    for sizes in ((1, 6), (2, 6)):
+        _check_dmc(_seven_points(seed, sizes))
+
+
+def test_dmc_matches_the_oracle_on_the_ring_and_hypercube_families():
+    _check_dmc(gen_ring(1))
+    ring = gen_ring(2)  # bound 209,587,500: over the default budget
+    _check_dmc(ring, budget=10**9)
+    rng = random.Random(2)
+    _check_dmc(ring.with_audited(PredictorVec([Fraction(rng.randint(0, 10), 10) for _ in range(8)])), budget=10**9)
+    cube, with_target = gen_hypercube(4)
+    _check_dmc(cube)
+    _check_dmc(with_target([0, 3, 5, 6]))
+    _check_dmc(with_target([0, 1, 2, 3]).with_audited(PredictorVec([Fraction(x, 7) for x in range(8)])))
+
+
+def test_dmc_matches_the_oracle_with_tied_minima():
+    # grid 3 puts p* and f on {0, 1/3, 2/3, 1}: many members share a distance
+    ties = [
+        _check_dmc(gen_random(n, k, seed=300 + 10 * n + k, grid_denominator=3, uniform_marginal=True))
+        for n in range(2, 8)
+        for k in range(1, min(n, 4) + 1)
+    ]
+    assert sum(t > 1 for t in ties) >= 8
+
+
+def test_dmc_matches_the_oracle_with_uncovered_points():
+    uncovered = 0
+    for seed in range(30):
+        inst = gen_random(6, 3, seed=500 + seed, grid_denominator=3 + seed % 2 * 17)
+        inst = inst.with_groups(SubgroupCollection(inst.groups[1:]))
+        uncovered += not inst.groups.covers(inst.n)
+        _check_dmc(inst)
+    assert uncovered >= 20
+
+
+def test_dmc_lists_each_group_once_and_joins_no_set(monkeypatch):
+    listed = []
+    calibrated_set = mcalaudit.distances.calibrated_set
+
+    def spy(inst, S):
+        listed.append(S.members)
+        return calibrated_set(inst, S)
+
+    def joined(*args, **kwargs):
+        raise AssertionError("dmc listed the multicalibrated set")
+
+    monkeypatch.setattr(mcalaudit.distances, "calibrated_set", spy)
+    monkeypatch.setattr(mcalaudit.enumeration, "multicalibrated_set", joined)
+    for inst in (gen_ring(2), _seven_points(0, (2, 6)), gen_three_point(Fraction(1, 10))):
+        listed.clear()
+        dmc(inst, budget=10**9)
+        assert sorted(listed) == sorted(S.members for S in inst.groups)
+
+
+def test_dmc_refuses_on_the_bell_product_as_the_join_does(monkeypatch):
+    inst = gen_three_point(0)  # groups of 2 points each: Bell(2)^2 = 4
+    with pytest.raises(BudgetExceeded) as joined:
+        multicalibrated_set(inst, budget=3)
+
+    def listed(*args, **kwargs):
+        raise AssertionError("dmc listed a calibrated set before it refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mcalaudit.distances, "calibrated_set", listed)
+        with pytest.raises(BudgetExceeded) as info:
+            dmc(inst, budget=3)
+    assert (info.value.bound, info.value.budget) == (4, 3)
+    assert str(info.value) == str(joined.value)
+    assert dmc(inst, budget=4) == dmc(inst)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
