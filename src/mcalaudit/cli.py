@@ -29,8 +29,8 @@ from .core import (
     Subgroup,
     _rat_str,
     dump_instance,
-    instance_from_dict,
     l1_distance,
+    load_instance,
     rat,
     to_decimal,
     validate,
@@ -99,11 +99,10 @@ def _rat_json(x: Fraction) -> dict:
 def _load(path: str) -> Instance:
     try:
         if path == "-":
-            data = json.load(sys.stdin)
+            inst = load_instance(sys.stdin)
         else:
             with open(path) as fh:
-                data = json.load(fh)
-        inst = instance_from_dict(data)
+                inst = load_instance(fh)
     except (OSError, ValueError, KeyError, TypeError) as e:
         _fail(f"cannot read instance: {e}")
     report = validate(inst)

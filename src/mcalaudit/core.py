@@ -375,7 +375,16 @@ def dump_instance(inst: Instance, fp=None) -> str:
     return text
 
 
+def _json_int(text: str) -> int:
+    """`json`'s reader of integers, refusing a run of more than
+    DIGITS_CEILING digits before `int()` meets its own limit."""
+    if len(text) - text.startswith("-") > DIGITS_CEILING:
+        raise ValueError(f"JSON integer of more than {DIGITS_CEILING} digits")
+    return int(text)
+
+
 def load_instance(fp) -> Instance:
+    """An instance from a JSON string or a text file object."""
     if isinstance(fp, str):
-        return instance_from_dict(json.loads(fp))
-    return instance_from_dict(json.load(fp))
+        return instance_from_dict(json.loads(fp, parse_int=_json_int))
+    return instance_from_dict(json.load(fp, parse_int=_json_int))

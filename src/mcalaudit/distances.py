@@ -141,7 +141,7 @@ class _PartitionScores:
     def result(self, score: int) -> DistanceResult:
         """The conditional distance a partition's score stands for, and its
         witness: the global vector that agrees with f off S."""
-        values = self.tables.values(score & ((1 << self.W) - 1))
+        (values,) = self.tables.values([score & ((1 << self.W) - 1)])
         witness = self._f.with_values(dict(zip(self._members, values)))
         return DistanceResult(value=Fraction(score >> self.W, self._den), witness=witness)
 
@@ -314,16 +314,16 @@ def dimc(inst: Instance) -> DistanceResult:
     """Distance to intersection multicalibration (= continuized dmc).
 
     Decomposes over the generated partition: sum of cell mass times the
-    conditional distance to calibration on the cell.  The witness is
-    assembled cell by cell from the per-cell witnesses.
+    conditional distance to calibration on the cell.  The witness takes
+    each cell's values from that cell's witness.
     """
     total = Fraction(0)
-    witness = inst.audited
+    updates: dict[int, Fraction] = {}
     for cell in generated_partition(inst.groups, inst.n):
         r = dce(inst, cell)
         total += group_mass(inst.marginal, cell) * r.value
-        witness = witness.with_values({x: r.witness[x] for x in cell.members})
-    return DistanceResult(value=total, witness=witness)
+        updates.update((x, r.witness[x]) for x in cell.members)
+    return DistanceResult(value=total, witness=inst.audited.with_values(updates))
 
 
 def dcma(inst: Instance) -> DistanceResult:

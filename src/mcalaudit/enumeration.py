@@ -10,9 +10,11 @@ subgroup of k points is the set of distinct class-mean vectors over its
 Bell(k) set partitions.
 
 Both engines work on per-class tables (`_ClassTables`): a class is a
-bitmask over the subgroup's member positions, and its mass and mean are
-computed once per non-empty mask, each mask extending the mask without its
-lowest bit (two integer additions and one exact division per mask).
+bitmask over the subgroup's member positions, and its integer mass and
+mean numerator are computed once per non-empty mask, each mask extending
+the mask without its lowest bit (two integer additions and one integer
+floor division, which ranks the mean exactly, per mask; a `Fraction` is
+built only per distinct mean that a caller decodes).
 `calibrated_set` streams partitions as tuples of class masks and
 deduplicates candidates as integer keys built from the ranks of the class
 means; its callers are `enumerate --set cal`, the multicalibration join
@@ -106,12 +108,18 @@ class _ClassTables:
     m(x)p*(x) on S, `mass[C]` and `num[C]` are the integers scale*m(C) and
     scale*sum_{x in C} m(x)p*(x), so the class mean is num[C]/mass[C].
 
-    `means` lists the distinct class means in ascending order.  A vector of
-    class means over the k positions is encoded as one integer key with a
-    `width`-bit digit per position, position 0 most significant, holding
-    the rank of its value in `means`; `code[C]` is class C's share of a key.
-    A partition's key is the sum of its classes' codes, and keys compare as
-    the value vectors do, lexicographically.
+    The class means are ranked without building them, by the integer floor
+    key num[C]*K // mass[C] with K = mass[full]**2.  Two distinct means
+    a/b < c/d with b, d <= mass[full] differ by at least 1/(bd) >= 1/K, so
+    cK/d >= aK/b + 1 and the floor keys differ in the same order; equal
+    means give equal keys.  The ranks are thus the ranks of the means
+    themselves.  A vector of class means over the k positions is encoded as
+    one integer key with a `width`-bit digit per position, position 0 most
+    significant, holding the rank of its value among the distinct means;
+    `code[C]` is class C's share of a key.  A partition's key is the sum of
+    its classes' codes, and keys compare as the value vectors do,
+    lexicographically.  One mask stands for each rank, and `values` builds
+    that rank's `Fraction` once, when it first decodes it.
     """
 
     def __init__(self, inst: Instance, S: Subgroup):
@@ -126,38 +134,59 @@ class _ClassTables:
         M = [(q * scale).numerator for q in ms]
         N = [(q * scale).numerator for q in ws]
         size = 1 << k
+        K = sum(M) ** 2  # mass[full] ** 2
         mass = [0] * size
         num = [0] * size
-        mean: list[Fraction] = [Fraction(0)] * size
+        floor = [0] * size
         for C in range(1, size):
             low = C & -C
             j = low.bit_length() - 1
             rest = C ^ low
-            mass[C] = mass[rest] + M[j]
-            num[C] = num[rest] + N[j]
-            mean[C] = Fraction(num[C], mass[C])
-        means = sorted(set(mean[1:]))
-        rank = {v: r for r, v in enumerate(means)}
-        width = max(1, (len(means) - 1).bit_length())
+            mc = mass[C] = mass[rest] + M[j]
+            nc = num[C] = num[rest] + N[j]
+            floor[C] = nc * K // mc
+        # a representative mask for each distinct key, that is each distinct mean
+        reps = dict(zip(floor[1:], range(1, size)))
+        order = sorted(reps)
+        rank = {v: r for r, v in enumerate(order)}
+        width = max(1, (len(order) - 1).bit_length())
         # spread[C] has a 1 in the digit of every position in C
         spread = [0] * size
         code = [0] * size
         for C in range(1, size):
             low = C & -C
             spread[C] = spread[C ^ low] + (1 << width * (k - low.bit_length()))
-            code[C] = rank[mean[C]] * spread[C]
+            code[C] = rank[floor[C]] * spread[C]
         self.k = k
         self.mass = mass
         self.num = num
-        self.means = means
         self.width = width
         self.code = code
+        self._means = _Means([reps[v] for v in order], num, mass)
 
-    def values(self, key: int) -> tuple[Fraction, ...]:
-        """The value vector, in member order, that `key` encodes."""
-        w, k, means = self.width, self.k, self.means
+    def values(self, keys: list[int]) -> list[tuple[Fraction, ...]]:
+        """The value vectors, in member order, that `keys` encode, decoded
+        one position at a time."""
+        w, k = self.width, self.k
         digit = (1 << w) - 1
-        return tuple(means[(key >> w * (k - 1 - j)) & digit] for j in range(k))
+        mean = self._means.__getitem__
+        columns = [map(mean, [(key >> w * (k - 1 - j)) & digit for key in keys]) for j in range(k)]
+        return list(zip(*columns))
+
+
+class _Means(dict):
+    """Rank -> class mean.  A rank's `Fraction` is built from its
+    representative mask on first lookup, and the same object is returned
+    after that."""
+
+    def __init__(self, reps: list[int], num: list[int], mass: list[int]):
+        super().__init__()
+        self.reps, self.num, self.mass = reps, num, mass
+
+    def __missing__(self, r: int) -> Fraction:
+        C = self.reps[r]
+        v = self[r] = Fraction(self.num[C], self.mass[C])
+        return v
 
 
 def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], ...]:
@@ -189,7 +218,7 @@ def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], .
             sub = (sub - 1) & others
 
     rec((1 << t.k) - 1, 0)
-    return tuple(t.values(key) for key in sorted(found))
+    return tuple(t.values(sorted(found)))
 
 
 def _check_bell_product(inst: Instance, budget: int) -> None:

@@ -7,6 +7,8 @@ distances take the minimum with the lexicographically smallest witness.
 """
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -231,3 +233,85 @@ def test_dcma_lists_no_candidate_set(monkeypatch):
     _, inst = gen_dcma_example(Fraction(1, 100))
     assert dcma(inst).value == Fraction(41, 600)
     _check_dcma(_tie_heavy(random.Random(1), 7))
+
+
+# The class tables rank the class means by an integer floor key.  The
+# oracle ranks the means as Fractions, one per mask.
+
+
+def _check_tables(inst, S):
+    t = mcalaudit.enumeration._ClassTables(inst, S)
+    k, w = t.k, t.width
+    mean = [Fraction(t.num[C], t.mass[C]) for C in range(1 << k)[1:]]
+    means = sorted(set(mean))
+    assert w == max(1, (len(means) - 1).bit_length())
+    ones = sum(1 << w * j for j in range(k))  # a 1 in every digit
+    assert t.values([r * ones for r in range(len(means))]) == [(v,) * k for v in means]
+    rank = {v: r for r, v in enumerate(means)}
+    for C in range(1, 1 << k):
+        spread = sum(1 << w * (k - 1 - j) for j in range(k) if C >> j & 1)
+        assert t.code[C] == rank[mean[C - 1]] * spread
+    if k <= 7:
+        shared = {}
+        for cand in calibrated_set(inst, S):
+            assert all(shared.setdefault(v, v) is v for v in cand)
+
+
+PRIMES = [q for q in range(1000, 3000) if all(q % d for d in range(2, int(q**0.5) + 1))]
+
+
+def _prime_marginal(rng, n):
+    """Masses a/q over distinct primes q between 1,000 and 3,000; the last
+    point takes the rest."""
+    ms = [Fraction(rng.randint(1, 40), q) for q in rng.sample(PRIMES, n - 1)]
+    return ms + [1 - sum(ms)]
+
+
+def _table_instance(rng, n, kind):
+    if kind == "uniform":
+        marginal, p_star = [Fraction(1, n)] * n, [Fraction(rng.randint(0, 20), 20) for _ in range(n)]
+    elif kind == "ties":
+        marginal, p_star = [Fraction(1, n)] * n, [Fraction(rng.randint(0, 2), 2) for _ in range(n)]
+    else:
+        marginal, p_star = _prime_marginal(rng, n), [Fraction(rng.randint(0, 7), 7) for _ in range(n)]
+    return _instance(marginal, p_star, ["1/2"] * n, [range(n)])
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties", "primes"])
+def test_class_tables_rank_as_the_fraction_oracle(kind):
+    rng = random.Random(f"tables/{kind}")
+    for n in [1, 2, 3, 5, 7, 8, 10]:
+        inst = _table_instance(rng, n, kind)
+        _check_tables(inst, inst.groups[0])
+
+
+@st.composite
+def _table_instances(draw, max_k=10):
+    n = draw(st.integers(1, max_k))
+    kind = draw(st.sampled_from(["uniform", "ties", "primes"]))
+    inst = _table_instance(random.Random(draw(st.integers(0, 2**32))), n, kind)
+    members = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    return inst, Subgroup(members)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_table_instances())
+def test_class_tables_rank_as_the_fraction_oracle_on_generated_instances(case):
+    _check_tables(*case)
+
+
+def test_class_tables_at_twelve_points_on_prime_denominators_stay_small():
+    # An lcm of the 4,095 class masses has tens of thousands of digits
+    # here; the floor keys have a few hundred bits.
+    inst = _table_instance(random.Random(12), 12, "primes")
+    S = inst.groups[0]
+    start = time.perf_counter()
+    mcalaudit.enumeration._ClassTables(inst, S)
+    assert time.perf_counter() - start < 1.0
+    tracemalloc.start()
+    try:
+        mcalaudit.enumeration._ClassTables(inst, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

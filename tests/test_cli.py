@@ -407,6 +407,22 @@ def test_audit_refuses_a_long_run_of_digits_in_its_own_words(text):
     assert r.output == "error: cannot read instance: more than 4300 digits in a row\n"
 
 
+@pytest.mark.parametrize("field", ['"n": 2', '"groups": [[0, 1'], ids=["n", "group-index"])
+@pytest.mark.parametrize("digits", ["1" * 5000, "-" + "1" * 4301], ids=["5000-digits", "minus-4301-digits"])
+def test_audit_refuses_a_json_integer_of_many_digits_in_its_own_words(field, digits):
+    # json reads the integer before rat or validate sees it
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text().replace(field, field[:-1] + digits))
+    assert r.exit_code == 2, r.output
+    assert r.output == "error: cannot read instance: JSON integer of more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("field", ['"n": 2', '"groups": [[0, 1'], ids=["n", "group-index"])
+def test_audit_reads_a_json_integer_of_4300_digits(field):
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text().replace(field, field[:-1] + "1" * 4300))
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: invalid instance: ")
+
+
 def test_audit_refuses_a_huge_degree_at_once(tmp_path):
     p = tmp_path / "tp.json"
     p.write_text(_tp_json("0"))
