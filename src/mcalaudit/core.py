@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import lcm
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -81,6 +82,12 @@ def rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing to convert float {x!r}; pass a string or Fraction")
     raise TypeError(f"cannot interpret {x!r} as a rational")
+
+
+def _int_numerators(values) -> tuple[list[int], int]:
+    """Fractions and ints as integer numerators over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def to_decimal(x: Fraction, digits: int = 30) -> str:
@@ -384,7 +391,10 @@ def _json_int(text: str) -> int:
 
 
 def load_instance(fp) -> Instance:
-    """An instance from a JSON string or a text file object."""
-    if isinstance(fp, str):
-        return instance_from_dict(json.loads(fp, parse_int=_json_int))
-    return instance_from_dict(json.load(fp, parse_int=_json_int))
+    """An instance from a JSON string or a text file object; JSON nested
+    past the recursion limit is a ValueError, not a RecursionError."""
+    text = fp if isinstance(fp, str) else fp.read()
+    try:
+        return instance_from_dict(json.loads(text, parse_int=_json_int))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
-from .core import BudgetExceeded, Instance, PredictorVec, Subgroup
+from .core import BudgetExceeded, Instance, PredictorVec, Subgroup, _int_numerators
 
 # Bell(12) = 4,213,597; beyond this the partition stream is impractical.
 PARTITION_CEILING = 12
@@ -104,7 +103,7 @@ class _ClassTables:
     """Per-class figures for every non-empty class of a subgroup's k members.
 
     A class C is a bitmask over member positions: bit j stands for
-    S.members[j].  With `scale` a common denominator of m(x) and
+    S.members[j].  With scale the lcm of the denominators of m(x) and
     m(x)p*(x) on S, `mass[C]` and `num[C]` are the integers scale*m(C) and
     scale*sum_{x in C} m(x)p*(x), so the class mean is num[C]/mass[C].
 
@@ -130,9 +129,8 @@ class _ClassTables:
         p = inst.ground_truth
         ms = [m[x] for x in members]
         ws = [m[x] * p[x] for x in members]
-        scale = lcm(*(q.denominator for q in ms + ws))
-        M = [(q * scale).numerator for q in ms]
-        N = [(q * scale).numerator for q in ws]
+        scaled, _ = _int_numerators(ms + ws)
+        M, N = scaled[:k], scaled[k:]
         size = 1 << k
         K = sum(M) ** 2  # mass[full] ** 2
         mass = [0] * size

@@ -7,8 +7,10 @@ distance to calibration mu and satisfies mu <= 4*sqrt(statistic), which
 is what turns a median-of-batches point estimate into a two-sided
 interval.  The LP is a path over the sorted distinct predictions, so it
 is solved exactly, without a simplex, by a dynamic programme over the
-concave piecewise-linear value function, in integers scaled by the lcm
-of the prediction denominators (`_smce_max`).
+concave piecewise-linear value function, in integers scaled by the lcm q
+of the prediction denominators (`_smce_max`).  Batches of equal size
+share the denominator q*q*draws, so `_smce_numerators` returns their
+statistics as integer numerators and a median builds one `Fraction`.
 
 Randomness comes from numpy's PCG64 generator seeded through SeedSequence
 (a fixed, portable, splittable 64-bit algorithm; see the README), so runs
@@ -41,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Instance, Subgroup, group_mass, rat
+from .core import Instance, Subgroup, _int_numerators, group_mass, rat
 from .distances import generated_partition
 
 __all__ = [
@@ -95,12 +97,6 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _scaled_values(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(q, [q*v for v in values]) with q the lcm of the values' denominators."""
-    q = math.lcm(*(v.denominator for v in values))
-    return q, [v.numerator * (q // v.denominator) for v in values]
-
-
 def _smce_max(q: int, points: Sequence[int], coeffs: Sequence[int]) -> int:
     """Maximum of sum_a coeffs[a] * W_a over real weights with |W_a| <= q
     and |W_{a+1} - W_a| <= points[a+1] - points[a]; an integer, since the
@@ -147,21 +143,23 @@ def _smce_max(q: int, points: Sequence[int], coeffs: Sequence[int]) -> int:
     return best
 
 
-def _smce_from_counts(
-    values: Sequence[Fraction], n_counts: Sequence[int], label_sums: Sequence[int], m: int
-) -> Fraction:
-    """Exact empirical lower distance to calibration from aggregated counts.
+def _smce_numerators(
+    values: Sequence[Fraction], n_rows: Sequence[Sequence[int]], s_rows: Sequence[Sequence[int]], draws: int
+) -> tuple[list[int], int]:
+    """Exact empirical lower distances to calibration of batches of `draws`
+    samples, as integer numerators over their shared denominator q*q*draws.
 
-    values must be sorted ascending and distinct; n_counts[a] samples carry
-    prediction values[a], of which label_sums[a] have label 1.  Maximizes
-    (1/m) sum_a w_a (label_sums[a] - n_counts[a] * values[a]) over weight
-    vectors w in [-1,1] that are 1-Lipschitz across adjacent values.
-    Scaled by q, the lcm of the value denominators, the weights and
-    coefficients are integers and `_smce_max` solves the program exactly.
+    values are sorted ascending and distinct; a batch's rows n and s put
+    n[a] samples on values[a], s[a] of them with label 1.  Its statistic
+    maximizes (1/draws) sum_a w_a (s[a] - n[a] * values[a]) over w in
+    [-1,1] 1-Lipschitz across adjacent values; scaled by q, the lcm of the
+    value denominators, that is the integer program `_smce_max` solves.
     """
-    q, points = _scaled_values(values)
-    coeffs = [q * s - n * x for x, n, s in zip(points, n_counts, label_sums)]
-    return Fraction(_smce_max(q, points, coeffs), q * q * m)
+    points, q = _int_numerators(values)
+    nums = [
+        _smce_max(q, points, [q * s - n * x for x, n, s in zip(points, ns, ss)]) for ns, ss in zip(n_rows, s_rows)
+    ]
+    return nums, q * q * draws
 
 
 def smce_empirical(samples) -> Fraction:
@@ -182,17 +180,17 @@ def smce_empirical(samples) -> Fraction:
     if total == 0:
         raise ValueError("at least one sample required")
     values = sorted(agg)
-    n_counts = [agg[v][0] for v in values]
-    label_sums = [agg[v][1] for v in values]
-    return _smce_from_counts(values, n_counts, label_sums, total)
+    (num,), den = _smce_numerators(values, [[agg[v][0] for v in values]], [[agg[v][1] for v in values]], total)
+    return Fraction(num, den)
 
 
-def _median(xs: list[Fraction]) -> Fraction:
-    xs = sorted(xs)
-    mid = len(xs) // 2
-    if len(xs) % 2:
-        return xs[mid]
-    return (xs[mid - 1] + xs[mid]) / 2
+def _median(nums: list[int], den: int) -> Fraction:
+    """The median of the statistics nums[b]/den, built as one Fraction."""
+    nums = sorted(nums)
+    mid = len(nums) // 2
+    if len(nums) % 2:
+        return Fraction(nums[mid], den)
+    return Fraction(nums[mid - 1] + nums[mid], 2 * den)
 
 
 def default_batch_size(eps: Fraction) -> int:
@@ -218,34 +216,29 @@ def _check_draw_sizes(batch_size: int, batch_count: int, total: int) -> None:
 
 def _statistics_from_counts(
     audited, members: Sequence[int], counts: np.ndarray, ones: np.ndarray, batch_size: int
-) -> list[Fraction]:
-    """Exact lower-dCE statistic of each batch from per-point counts.
+) -> tuple[list[int], int]:
+    """`_smce_numerators` of each batch from per-point counts.
 
     Row b of counts (ones) holds how many of batch b's `batch_size` draws
     fell on each member (and had label 1); members sharing a prediction
-    are folded into one value before the solver.
+    are folded into one value first.
     """
     values = sorted({audited[i] for i in members})
     pos = {v: a for a, v in enumerate(values)}
     fold = np.zeros((len(members), len(values)), dtype=np.int64)
     for r, i in enumerate(members):
         fold[r, pos[audited[i]]] = 1
-    q, points = _scaled_values(values)
-    scale = q * q * batch_size
     # Python ints from here on: q * s and n * x can exceed int64.
-    return [
-        Fraction(_smce_max(q, points, [q * s - n * x for x, n, s in zip(points, ns, ss)]), scale)
-        for ns, ss in zip((counts @ fold).tolist(), (ones @ fold).tolist())
-    ]
+    return _smce_numerators(values, (counts @ fold).tolist(), (ones @ fold).tolist(), batch_size)
 
 
 def _draw_batch_statistics(
     rng: np.random.Generator, inst: Instance, members: Sequence[int], batch_size: int, batch_count: int
-) -> list[Fraction]:
+) -> tuple[list[int], int]:
     """Statistics of `batch_count` batches of `batch_size` i.i.d. draws
-    from the instance conditioned on `members`, drawn as sufficient
-    statistics: a multinomial over the members' point masses per batch,
-    then a binomial per point for the labels."""
+    from the instance conditioned on `members`, as `_smce_numerators` gives
+    them, drawn as sufficient statistics: a multinomial over the members'
+    point masses per batch, then a binomial per point for the labels."""
     cond = np.array([float(inst.marginal[i]) for i in members])
     cond /= cond.sum()
     pstar = np.array([float(inst.ground_truth[i]) for i in members])
@@ -274,7 +267,7 @@ def dce_interval(
     total = bs * bc
     _check_draw_sizes(bs, bc, total)
 
-    mu_hat = _median(_draw_batch_statistics(_rng(seed), inst, list(S.members), bs, bc))
+    mu_hat = _median(*_draw_batch_statistics(_rng(seed), inst, list(S.members), bs, bc))
     a = mu_hat + eps
     return IntervalEstimate(
         point=mu_hat,
@@ -331,7 +324,7 @@ def dimc_interval(
         take = min(drawn, per_cell)
         nb = max(1, min(bc, take // bs))
         stats = _draw_batch_statistics(rng, inst, list(cell.members), take // nb, nb)
-        theta_hat += Fraction(drawn, total) * _median(stats)
+        theta_hat += Fraction(drawn, total) * _median(*stats)
 
     a = Fraction(ell) * theta_hat
     return IntervalEstimate(

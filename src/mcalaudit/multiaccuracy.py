@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, _rat_str, group_mass
+from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, _int_numerators, _rat_str, group_mass
 from .enumeration import is_multiaccurate
 
 __all__ = [
@@ -95,12 +95,6 @@ class LPSolution:
     status: str  # "optimal" | "infeasible"
     optimum: Optional[Fraction]
     assignment: tuple[Fraction, ...]
-
-
-def _int_row(values: list) -> tuple[list[int], int]:
-    """Fractions and ints as integer numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -227,12 +221,12 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     tab: list[list[int]] = []
     dens: list[int] = []
     for coeffs, rhs in problem.constraints:
-        row, den = _int_row([c * hi if c and hi else 0 for c, hi in zip(coeffs, upper)] + [rhs])
+        row, den = _int_numerators([c * hi if c and hi else 0 for c, hi in zip(coeffs, upper)] + [rhs])
         tab.append([-v for v in row] if rhs < 0 else row)
         dens.append(den)
     nrows = len(tab)
     basis = list(range(nv, nv + nrows))  # the artificial of row i
-    obj, den = _int_row([c * hi if c and hi else 0 for c, hi in zip(problem.objective, upper)] + [0])
+    obj, den = _int_numerators([c * hi if c and hi else 0 for c, hi in zip(problem.objective, upper)] + [0])
     tab.append(obj)
     dens.append(den)
     # The sum of the artificials, priced out: minus the sum of the rows.
@@ -269,20 +263,24 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     return LPSolution("optimal", Fraction(-tab[-1][-1], dens[-1]), tuple(values))
 
 
-def bias(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
-    """|conditional mean of the ground truth minus f over S|, exact."""
+def _signed_bias_mass(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
+    """sum over S of m(x)(p*(x) - f(x)): the group's mass times its signed bias."""
     m = inst.marginal
     p = inst.ground_truth
-    mass = group_mass(m, S)
-    diff = sum((m[i] * (p[i] - f[i]) for i in S.members), Fraction(0))
-    return abs(diff) / mass
+    return sum((m[i] * (p[i] - f[i]) for i in S.members), Fraction(0))
+
+
+def bias(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
+    """|conditional mean of the ground truth minus f over S|, exact."""
+    return abs(_signed_bias_mass(f, inst, S)) / group_mass(inst.marginal, S)
 
 
 def wdma(inst: Instance) -> tuple[Fraction, Subgroup]:
-    """Worst group-mass-weighted bias of the audited predictor."""
+    """Worst group-mass-weighted bias of the audited predictor: the largest
+    |sum_S m(p* - f)| over the groups."""
     # max returns the first of several maximal groups.
     return max(
-        ((group_mass(inst.marginal, S) * bias(inst.audited, inst, S), S) for S in inst.groups),
+        ((abs(_signed_bias_mass(inst.audited, inst, S)), S) for S in inst.groups),
         key=lambda vs: vs[0],
     )
 
@@ -293,7 +291,6 @@ def _dma_problem(inst: Instance) -> LPProblem:
     of g on every group: sum_S m(u - v) = sum_S m(p* - f)."""
     n = inst.n
     m = inst.marginal.probs
-    p = inst.ground_truth
     f = inst.audited
     zero = Fraction(0)
     constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
@@ -302,8 +299,7 @@ def _dma_problem(inst: Instance) -> LPProblem:
         for i in S.members:
             coeffs[i] = m[i]
             coeffs[n + i] = -m[i]
-        rhs = sum((m[i] * (p[i] - f[i]) for i in S.members), zero)
-        constraints.append((tuple(coeffs), rhs))
+        constraints.append((tuple(coeffs), _signed_bias_mass(f, inst, S)))
     return LPProblem(m * 2, tuple(constraints), tuple(1 - v for v in f.values) + f.values)
 
 

@@ -423,6 +423,26 @@ def test_audit_reads_a_json_integer_of_4300_digits(field):
     assert r.output.startswith("error: invalid instance: ")
 
 
+@pytest.mark.parametrize("field", ["groups", "marginal", "n"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["audit", "-", "--metrics", "wdma"],
+        ["enumerate", "-", "--set", "cal", "--group", "0"],
+        ["estimate", "-", "--metric", "dimc"],
+        ["landscape", "-", "--metric", "wdma", "--trials", "1"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_deeply_nested_json_is_an_input_error(command, field):
+    # json meets a RecursionError long before 50,000 levels
+    depth = 50_000
+    text = _instance_text(**{field: "deep"}).replace('"deep"', "[" * depth + "]" * depth)
+    r = _run(command, input=text)
+    assert r.exit_code == 2, r.output
+    assert r.output == "error: cannot read instance: JSON nested too deeply\n"
+
+
 def test_audit_refuses_a_huge_degree_at_once(tmp_path):
     p = tmp_path / "tp.json"
     p.write_text(_tp_json("0"))

@@ -21,7 +21,7 @@ from mcalaudit import (
     rat,
     validate,
 )
-from mcalaudit.core import to_decimal
+from mcalaudit.core import _int_numerators, to_decimal
 
 
 def test_rat_accepts_ints_strings_fractions():
@@ -152,6 +152,14 @@ def test_a_valid_instance_need_not_cover():
     assert validate(inst).valid and inst.groups.covers(inst.n)
     partial = inst.with_groups(SubgroupCollection([[0, 1]]))
     assert validate(partial).valid and not partial.groups.covers(partial.n)
+
+
+def test_int_numerators_share_the_lcm_of_the_denominators():
+    values = [Fraction(1, 4), Fraction(-5, 6), 3, Fraction(0), Fraction(7, 9)]
+    nums, den = _int_numerators(values)
+    assert den == 36
+    assert nums == [(v * den).numerator for v in values] == [9, -30, 108, 0, 28]
+    assert _int_numerators([]) == ([], 1)
 
 
 def test_json_round_trip_preserves_rationals():

@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 import tracemalloc
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from mcalaudit.core import (
 )
 from mcalaudit.distances import generated_partition
 from mcalaudit.estimators import (
+    _median,
     _statistics_from_counts,
     default_batch_count,
     default_batch_size,
@@ -169,13 +172,27 @@ def test_statistics_from_counts_match_smce_of_the_sample_list(seed):
     size = int(rng.integers(1, 40))
     counts = rng.multinomial(size, rng.dirichlet(np.ones(len(members))), size=5)
     ones = rng.binomial(counts, rng.random(len(members)))
-    stats = _statistics_from_counts(audited, members, counts, ones, size)
-    assert len(stats) == 5
-    for row_counts, row_ones, stat in zip(counts.tolist(), ones.tolist(), stats):
+    nums, den = _statistics_from_counts(audited, members, counts, ones, size)
+    assert len(nums) == 5
+    for row_counts, row_ones, num in zip(counts.tolist(), ones.tolist(), nums):
         pairs = []
         for i, c, o in zip(members, row_counts, row_ones):
             pairs += [(audited[i], 1)] * o + [(audited[i], 0)] * (c - o)
-        assert smce_empirical(pairs) == stat
+        assert smce_empirical(pairs) == F(num, den)
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_median_of_numerators_is_the_fraction_median(length):
+    # nums drawn from few values, so most lists hold ties, also at the middles
+    rng = random.Random(length)
+    for _ in range(50):
+        den = rng.randrange(1, 30)
+        nums = [rng.randrange(-3, 4) * rng.choice((1, 7)) for _ in range(length)]
+        median = _median(nums, den)
+        assert type(median) is Fraction
+        assert median == statistics.median(F(x, den) for x in nums)
+    assert _median([5, 5], 3) == F(5, 3)
+    assert _median([1, 2], 3) == F(1, 2)
 
 
 def test_samples_used_of_the_default_parameters():

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import mcalaudit.multiaccuracy as ma
 from mcalaudit import LPProblem, LPSolution, lp_solve
-from mcalaudit.estimators import _smce_from_counts
+from mcalaudit.estimators import _smce_numerators
 from mcalaudit.instances import (
     fibonacci_number,
     gen_cdmc_example,
@@ -358,6 +358,12 @@ def _smce_split_lp(values, n_counts, label_sums):
     return objective, constraints, (None,) * (2 * d)
 
 
+def _one_batch_smce(values, n_counts, label_sums, m) -> F:
+    """The statistic of one batch of m samples, as `_smce_numerators` gives it."""
+    (num,), den = _smce_numerators(values, [n_counts], [label_sums], m)
+    return F(num, den)
+
+
 def test_smce_matches_the_lp_with_explicit_lower_rows():
     rng = random.Random(7)
     for _ in range(300):
@@ -368,7 +374,7 @@ def test_smce_matches_the_lp_with_explicit_lower_rows():
         m = max(1, sum(n_counts))
         expected, _ = oracle_solve_rows(*_smce_split_lp(values, n_counts, label_sums))
         assert expected.status == "optimal"
-        assert _smce_from_counts(values, n_counts, label_sums, m) == -expected.optimum / m
+        assert _one_batch_smce(values, n_counts, label_sums, m) == -expected.optimum / m
 
 
 def _smce_box_lp(values, coeffs) -> LPProblem:
@@ -395,7 +401,7 @@ def _check_smce(values, n_counts, label_sums):
     """The integer breakpoint solver against `lp_solve` on the box LP and
     against the dense oracle on the split LP, exactly."""
     m = max(1, sum(n_counts))
-    got = _smce_from_counts(values, n_counts, label_sums, m)
+    got = _one_batch_smce(values, n_counts, label_sums, m)
     coeffs = [F(label_sums[a]) - n_counts[a] * values[a] for a in range(len(values))]
     box = lp_solve(_smce_box_lp(values, coeffs))
     assert box.status == "optimal"

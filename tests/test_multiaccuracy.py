@@ -15,6 +15,7 @@ from mcalaudit import (
     SubgroupCollection,
     bias,
     dma,
+    group_mass,
     is_multiaccurate,
     l1_distance,
     lp_solve,
@@ -136,6 +137,19 @@ def test_bias_and_wdma_three_point():
     value, group = wdma(inst)
     assert value == F(2, 3) * F(1, 20)
     assert group.members == S2.members
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_wdma_is_the_first_group_of_largest_mass_times_bias(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(2, 7)
+    inst = gen_random(n, rng.randrange(1, min(n, 3) + 1), seed=seed)
+    if seed % 3 == 0:  # f = p* but at point 0: the groups of 0 tie, the rest score 0
+        inst = inst.with_audited(inst.ground_truth.with_values({0: inst.audited[0]}))
+    scores = [group_mass(inst.marginal, S) * bias(inst.audited, inst, S) for S in inst.groups]
+    value, group = wdma(inst)
+    assert value == max(scores)
+    assert group == inst.groups[scores.index(value)]
 
 
 def test_dma_zero_iff_multiaccurate():
