@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn, Optional
 
 import click
@@ -112,8 +112,56 @@ def _load(path: str) -> Instance:
     return inst
 
 
+def _write_json(x, indent: str, out: list[str]) -> None:
+    """Append x to `out` as `json.dumps(x, indent=2)` writes it, a nested
+    line being indented by `indent` and two more spaces.  Strings go through
+    json's C string encoder and the other scalars are written inline as json
+    writes them (a report's floats are finite timings); json's own encoder
+    runs in pure Python whenever `indent` is set."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in x.items():
+            out.append(sep + _quote(k) + ": ")
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for v in x:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(float.__repr__(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, output: Optional[str]):
-    text = json.dumps(payload, indent=2)
+    """Write the report as `json.dumps(payload, indent=2)` would, byte for
+    byte, through `_write_json`."""
+    chunks: list[str] = []
+    _write_json(payload, "", chunks)
+    text = "".join(chunks)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")

@@ -15,8 +15,9 @@ import json
 import re
 from math import lcm
 from dataclasses import dataclass, field
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -53,6 +54,17 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 # a denominator) is read by `int()` too, so a longer one is refused first.
 DIGITS_CEILING = 4300
 _DIGIT_RUN = re.compile(r"\d[\d_]*")
+# An error message quotes at most this many characters of an input value.
+ECHO_CEILING = 40
+
+
+def _brief(x) -> str:
+    """repr(x), cut to its first ECHO_CEILING characters and its length when
+    longer, so that an error message does not grow with the input."""
+    text = repr(x)
+    if len(text) <= ECHO_CEILING:
+        return text
+    return f"{text[:ECHO_CEILING]}... ({len(text)} characters)"
 
 
 def rat(x) -> Fraction:
@@ -78,10 +90,12 @@ def rat(x) -> Fraction:
         try:
             return Fraction(x)  # handles both "4/5" and "0.8" exactly
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+            raise ValueError(f"zero denominator in {_brief(x)}") from None
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: {_brief(x)}") from None
     if isinstance(x, float):
         raise TypeError(f"refusing to convert float {x!r}; pass a string or Fraction")
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    raise TypeError(f"cannot interpret {_brief(x)} as a rational")
 
 
 def _int_numerators(values) -> tuple[list[int], int]:
@@ -90,15 +104,17 @@ def _int_numerators(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+@lru_cache(maxsize=None)
+def _decimal_context(digits: int) -> Context:
+    return Context(prec=digits, rounding=ROUND_HALF_EVEN)
+
+
 def to_decimal(x: Fraction, digits: int = 30) -> str:
     """Render a rational as a decimal string with `digits` significant digits.
 
     Rendering only; round-half-even. Exact values stay Fractions everywhere else.
     """
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+    return str(_decimal_context(digits).divide(Decimal(x.numerator), Decimal(x.denominator)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +175,7 @@ class PredictorVec:
     def with_values(self, updates: dict[int, Fraction]) -> "PredictorVec":
         vals = list(self.values)
         for i, v in updates.items():
-            vals[i] = rat(v)
+            vals[i] = v
         return PredictorVec(vals)
 
 
@@ -175,7 +191,7 @@ class Subgroup:
         if not ms:
             raise ValueError("subgroup must be non-empty")
         if any(a == b for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"repeated member in group {ms}")
+            raise ValueError(f"repeated member in group {_brief(ms)}")
         if ms[0] < 0:
             raise ValueError("subgroup indices must be non-negative")
         object.__setattr__(self, "members", ms)
@@ -200,7 +216,7 @@ class SubgroupCollection:
         seen = set()
         for g in gs:
             if g.members in seen:
-                raise ValueError(f"duplicate group {g.members}")
+                raise ValueError(f"duplicate group {_brief(g.members)}")
             seen.add(g.members)
         object.__setattr__(self, "groups", gs)
 
@@ -253,10 +269,25 @@ def _check_dims(f: PredictorVec, g: PredictorVec, m: Marginal):
         raise ValueError(f"dimension mismatch: f has {f.n}, g has {g.n}, marginal has {m.n}")
 
 
+def _weighted_differences(f: PredictorVec, g: PredictorVec, m: Marginal) -> tuple[list[int], int]:
+    """m(x)(f(x) - g(x)) at every point x as integer numerators over one
+    common denominator D, the lcm of den(m(x))den(f(x))den(g(x)); and D."""
+    terms = [
+        (w.numerator * (a.numerator * b.denominator - b.numerator * a.denominator),
+         w.denominator * a.denominator * b.denominator)
+        for w, a, b in zip(m.probs, f.values, g.values)
+    ]
+    D = lcm(*(d for _, d in terms))
+    return [t * (D // d) for t, d in terms], D
+
+
 def l1_distance(f: PredictorVec, g: PredictorVec, m: Marginal) -> Fraction:
-    """Marginal-weighted l1 distance: sum over x of m(x)*|f(x)-g(x)|."""
+    """Marginal-weighted l1 distance: sum over x of m(x)*|f(x)-g(x)|, summed
+    in integers over one common denominator; one Fraction is built at the
+    end."""
     _check_dims(f, g, m)
-    return sum((m[i] * abs(f[i] - g[i]) for i in range(f.n)), Fraction(0))
+    diffs, D = _weighted_differences(f, g, m)
+    return Fraction(sum(map(abs, diffs)), D)
 
 
 def group_mass(m: Marginal, S: Subgroup) -> Fraction:
@@ -359,13 +390,17 @@ def instance_to_dict(inst: Instance) -> dict:
 def _strict_int(v, what: str) -> int:
     """v itself if it is an int; a float or a bool is refused, not cast."""
     if type(v) is not int:
-        raise ValueError(f"{what} must be an integer, got {v!r}")
+        raise ValueError(f"{what} must be an integer, got {_brief(v)}")
     return v
 
 
 def instance_from_dict(d: dict) -> Instance:
     n = _strict_int(d["n"], "n")
-    labels = tuple(d["labels"]) if "labels" in d else None
+    labels = None
+    if "labels" in d:
+        if type(d["labels"]) is not list or any(type(s) is not str for s in d["labels"]):
+            raise ValueError("labels must be an array of strings")
+        labels = tuple(d["labels"])
     return Instance(
         domain=FiniteDomain(n, labels),
         marginal=Marginal(d["marginal"]),

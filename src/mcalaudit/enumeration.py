@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
-from .core import BudgetExceeded, Instance, PredictorVec, Subgroup, _int_numerators
+from .core import BudgetExceeded, Instance, PredictorVec, Subgroup, _int_numerators, _weighted_differences
 
 # Bell(12) = 4,213,597; beyond this the partition stream is impractical.
 PARTITION_CEILING = 12
@@ -85,18 +86,22 @@ def _check_ceiling(k: int) -> None:
 
 def is_calibrated(f: PredictorVec, inst: Instance, S: Subgroup) -> bool:
     """Exact calibration of f on S: on each level set of f within S, the
-    marginal-weighted mean of the ground truth equals the predicted value."""
-    by_value: dict[Fraction, list[int]] = {}
-    for i in S.members:
-        by_value.setdefault(f[i], []).append(i)
+    marginal-weighted mean of the ground truth equals the predicted value.
+
+    With D the lcm over S of den(m(x))den(p*(x)), M(x) = D m(x) and
+    N(x) = D m(x)p*(x) are integers, and a level set of value v passes when
+    den(v) sum N == num(v) sum M."""
     m = inst.marginal
     p = inst.ground_truth
-    for v, idxs in by_value.items():
-        mass = sum((m[i] for i in idxs), Fraction(0))
-        mean_num = sum((m[i] * p[i] for i in idxs), Fraction(0))
-        if mean_num != v * mass:
-            return False
-    return True
+    D = lcm(*(m[i].denominator * p[i].denominator for i in S.members))
+    sums: dict[tuple[int, int], list[int]] = {}
+    for i in S.members:
+        w, v = m[i], f[i]
+        M = w.numerator * (D // w.denominator)
+        s = sums.setdefault((v.numerator, v.denominator), [0, 0])
+        s[0] += M
+        s[1] += M // p[i].denominator * p[i].numerator
+    return all(den * N == num * M for (num, den), (M, N) in sums.items())
 
 
 class _ClassTables:
@@ -301,13 +306,8 @@ def is_multicalibrated(f: PredictorVec, inst: Instance) -> bool:
 def is_multiaccurate(f: PredictorVec, inst: Instance) -> bool:
     """Zero bias on every group: weighted sums of f and of the ground truth
     agree over each group."""
-    m = inst.marginal
-    p = inst.ground_truth
-    for S in inst.groups:
-        diff = sum((m[i] * (p[i] - f[i]) for i in S.members), Fraction(0))
-        if diff != 0:
-            return False
-    return True
+    e, _ = _weighted_differences(f, inst.ground_truth, inst.marginal)
+    return all(sum(e[i] for i in S.members) == 0 for S in inst.groups)
 
 
 def is_degree_r_multicalibrated(f: PredictorVec, inst: Instance, r: int) -> bool:
@@ -315,16 +315,18 @@ def is_degree_r_multicalibrated(f: PredictorVec, inst: Instance, r: int) -> bool
     orthogonal to every polynomial weight w(f(x)) of degree < r.  Checking
     the monomials t^j for 0 <= j < r suffices by linearity, and on a group
     where f takes d distinct values the monomials below degree d already
-    span every weight, so j stops at min(r, d)."""
+    span every weight, so j stops at min(r, d).
+
+    With f(x) = q(x)/E over the group's common denominator E and the
+    residuals m(x)(f(x) - p*(x)) = e(x)/D over one denominator D, the j-th
+    condition is sum e(x) q(x)^j == 0, all in integers."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    m = inst.marginal
-    p = inst.ground_truth
+    e, _ = _weighted_differences(f, inst.ground_truth, inst.marginal)
     for S in inst.groups:
-        for j in range(min(r, len({f[i] for i in S.members}))):
-            total = sum(
-                (m[i] * f[i] ** j * (f[i] - p[i]) for i in S.members), Fraction(0)
-            )
-            if total != 0:
+        q, _ = _int_numerators([f[i] for i in S.members])
+        es = [e[i] for i in S.members]
+        for j in range(min(r, len(set(q)))):
+            if sum(ei * qi**j for ei, qi in zip(es, q)) != 0:
                 return False
     return True

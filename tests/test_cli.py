@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcalaudit import LPProblem, lp_solve
-from mcalaudit.cli import main
+from mcalaudit.cli import _write_json, main
 from mcalaudit.core import dump_instance, instance_from_dict
 from mcalaudit.instances import gen_three_point
 
@@ -462,6 +464,26 @@ def test_audit_refuses_a_repeated_group_member():
     assert r.output.startswith("error: cannot read instance: repeated member in group (0, 0, 1)")
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"f": ["x" * 100_000, "1/2"]},
+        {"n": "7" * 4000},
+        {"marginal": ["1/" + "0" * 1000, "1/2"]},
+        {"p_star": [["1/2"] * 20_000, "1/2"]},
+        {"groups": [[1] + [0] * 20_000]},
+        {"groups": [list(range(2000)), list(range(2000))]},
+    ],
+    ids=["long-literal", "long-n", "long-zero-denominator", "long-list-value", "long-repeat", "long-duplicate"],
+)
+def test_cannot_read_instance_quotes_a_bounded_prefix_of_the_value(fields):
+    r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(**fields))
+    assert r.exit_code == 2, r.output[:300]
+    assert r.output.startswith("error: cannot read instance: ")
+    assert r.output.count("\n") == 1 and len(r.output.encode()) < 300, r.output[:300]
+    assert "characters)" in r.output
+
+
 def test_audit_zero_denominator_is_an_input_error():
     r = _run(["audit", "-", "--metrics", "wdma"], input=_instance_text(marginal=["1/0", "1/2"]))
     assert r.exit_code == 2, r.output
@@ -510,3 +532,27 @@ def test_audit_degree_flags_stop_at_the_domain_size(tmp_path, monkeypatch):
     flags = json.loads(r.output)["membership"]["degree_r_multicalibrated"]
     assert flags == {str(r): is_degree_r_multicalibrated(inst.audited, inst, r) for r in range(1, 51)}
     assert flags["1"] and not flags["2"]
+
+
+_json_scalars = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "é", "\U0001f600"]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=10**400) | st.integers(min_value=-(10**400), max_value=-(2**64)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_json_trees)
+def test_report_writer_writes_what_json_dumps_indent_2_writes(tree):
+    out: list[str] = []
+    _write_json(tree, "", out)
+    assert "".join(out) == json.dumps(tree, indent=2)

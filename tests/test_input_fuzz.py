@@ -7,6 +7,7 @@ refusal (exit 3), with no traceback, within a time limit per call."""
 import json
 import time
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -131,3 +132,21 @@ def test_cli_answers_or_refuses_any_instance_json(text):
         assert "Traceback" not in r.output
         if r.exit_code:
             assert r.output.startswith("error: "), (args, r.output[:300])
+
+
+_VALID = {"n": 2, "marginal": ["1/2", "1/2"], "p_star": ["1/2", "1/2"], "f": ["1/2", "1/2"], "groups": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "labels",
+    ["ab", [[1], {"a": 2}], ["a", 2], None, {"a": 0, "b": 1}, ["a", True]],
+    ids=["string", "containers", "an-int", "null", "object", "a-bool"],
+)
+def test_labels_other_than_an_array_of_strings_are_refused(labels):
+    text = json.dumps({**_VALID, "labels": labels})
+    for args in COMMANDS:
+        r = CliRunner().invoke(main, args, input=text)
+        assert r.exit_code == 2, (args, r.output)
+        assert r.output == "error: cannot read instance: labels must be an array of strings\n"
+    r = CliRunner().invoke(main, COMMANDS[0], input=json.dumps({**_VALID, "labels": ["a", "b"]}))
+    assert r.exit_code == 0, r.output
