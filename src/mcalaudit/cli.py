@@ -5,13 +5,16 @@ Output is JSON by default; `--pretty` switches to a human-readable table.
 Exact rationals appear as "num/den" strings together with 30-significant-
 digit decimal renderings (round-half-even; the decimals are views only).
 
-Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 budget
-refusal.  The environment variable MCAL_AUDIT_BUDGET overrides the
+Exit codes: 0 success, 1 acceptance failure, 2 usage or input error, 3
+budget refusal.  The environment variable MCAL_AUDIT_BUDGET overrides the
 budget of the multicalibration join in `audit`, `enumerate` and `landscape`.
+Arguments are read by one prebuilt `argparse` parser, built from the table
+`COMMANDS`.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import os
@@ -21,12 +24,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NoReturn, Optional
 
-import click
-
 from .core import (
     BudgetExceeded,
     Instance,
     Subgroup,
+    _brief,
     _rat_str,
     dump_instance,
     l1_distance,
@@ -62,15 +64,18 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-# `audit --degree D` writes a D-entry map, so D is bounded before it is built.
+# Upper bounds of the integer options, checked before any work: `audit
+# --degree D` writes a D-entry map, each trial of `estimate` and `landscape`
+# is a full run, and `generate` writes at most POINTS_CEILING points.
 DEGREE_CEILING = 10_000
+TRIALS_CEILING = 10_000
+POINTS_CEILING = 10_000
+GRID_CEILING = 10**6
 
 
 def _echo(message: str, err: bool = False) -> None:
-    """click.echo to the current sys.stdout or sys.stderr.  Without an
-    explicit file, click caches a wrapper per stream that keeps the stream
-    alive, so every stdout swapped in by an in-process caller would leak."""
-    click.echo(message, file=sys.stderr if err else sys.stdout)
+    """Write one line to the current sys.stdout, or sys.stderr."""
+    (sys.stderr if err else sys.stdout).write(message + "\n")
 
 
 def _fail(message: str, code: int = EXIT_INPUT) -> NoReturn:
@@ -88,7 +93,7 @@ def _budget() -> int:
         if value < 1:
             raise ValueError
     except ValueError:
-        _fail(f"MCAL_AUDIT_BUDGET must be a positive integer, got {raw!r}")
+        _fail(f"MCAL_AUDIT_BUDGET must be a positive integer, got {_brief(raw)}")
     return value
 
 
@@ -178,13 +183,8 @@ def _parse_rat(value: str, name: str) -> Fraction:
 
 def _group_by_index(inst: Instance, index: int) -> Subgroup:
     if not 0 <= index < len(inst.groups):
-        _fail(f"group index {index} out of range (instance has {len(inst.groups)} groups)")
+        _fail(f"group index {_brief(index)} out of range (instance has {len(inst.groups)} groups)")
     return inst.groups[index]
-
-
-@click.group()
-def main():
-    """Exact auditing of calibration and multicalibration distances."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +192,16 @@ def main():
 # ---------------------------------------------------------------------------
 
 
-@main.command("audit")
-@click.argument("instance", type=str)
-@click.option(
-    "--metrics",
-    default=",".join(METRICS),
-    show_default=True,
-    help=f"Comma-separated subset of {','.join(METRICS)}.",
-)
-@click.option("--degree", type=int, default=1, show_default=True, help="Check degree-r membership for r = 1..DEGREE.")
-@click.option("--dump-lp", type=str, default=None, help="Write the multiaccuracy-distance LP as JSON to this path.")
-@click.option("--pretty", is_flag=True, help="Human-readable table instead of JSON.")
-@click.option("-o", "--output", type=str, default=None, help="Write the JSON report to this path.")
 def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
     """Compute distance metrics and membership flags for an instance."""
     inst = _load(instance)
-    requested = [m.strip() for m in metrics.split(",") if m.strip()]
+    if metrics is None:
+        requested = list(METRICS)
+    else:
+        requested = [m.strip() for m in metrics.split(",") if m.strip()]
     for m in requested:
         if m not in METRICS:
-            _fail(f"unknown metric {m!r}")
-    if degree < 1:
-        _fail("--degree must be >= 1")
-    if degree > DEGREE_CEILING:
-        _fail(f"--degree must be <= {DEGREE_CEILING}")
+            _fail(f"unknown metric {_brief(m)}")
     budget = _budget()
 
     report: dict = {"metrics": {}, "membership": {}, "timing_seconds": {}}
@@ -276,12 +263,6 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
 # ---------------------------------------------------------------------------
 
 
-@main.command("enumerate")
-@click.argument("instance", type=str)
-@click.option("--set", "which", type=click.Choice(["cal", "mcal"]), default="mcal", show_default=True)
-@click.option("--group", type=int, default=None, help="Group index for --set cal.")
-@click.option("--pretty", is_flag=True)
-@click.option("-o", "--output", type=str, default=None)
 def cmd_enumerate(instance, which, group, pretty, output):
     """List the calibrated set of one group, or the multicalibrated set.
 
@@ -316,23 +297,11 @@ def cmd_enumerate(instance, which, group, pretty, output):
 # ---------------------------------------------------------------------------
 
 
-@main.command("estimate")
-@click.argument("instance", type=str)
-@click.option("--metric", type=click.Choice(["dce", "dimc"]), required=True)
-@click.option("--group", type=int, default=None, help="Group index (required for dce).")
-@click.option("--eps", default="1/50", show_default=True, help="Interval half-width parameter (rational).")
-@click.option("--delta", default="1/20", show_default=True, help="Failure probability (rational).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=1, show_default=True, help="Independent runs with seeds seed, seed+1, ...")
-@click.option("--csv", "as_csv", is_flag=True, help="Emit CSV rows instead of JSON.")
-@click.option("-o", "--output", type=str, default=None)
 def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, output):
     """Sampling-based interval estimates; deterministic given the seed."""
     inst = _load(instance)
     eps_r = _parse_rat(eps, "--eps")
     delta_r = _parse_rat(delta, "--delta")
-    if trials < 1:
-        _fail("--trials must be >= 1")
     if metric == "dce":
         if group is None:
             _fail("--metric dce requires --group")
@@ -377,26 +346,6 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
 # ---------------------------------------------------------------------------
 
 
-@main.command("generate")
-@click.option(
-    "--family",
-    type=click.Choice(
-        ["three-point", "wdmc-local-min", "ring", "hypercube", "cdmc", "fibonacci", "dcma", "random"]
-    ),
-    required=True,
-)
-@click.option("--alpha", default="0", show_default=True, help="three-point offset (rational).")
-@click.option("--eps", default="1/200", show_default=True, help="Construction parameter (rational).")
-@click.option("--delta", default="1/10", show_default=True, help="Construction parameter (rational).")
-@click.option("--k", type=int, default=3, show_default=True, help="fibonacci chain length / hypercube dimension count.")
-@click.option("--blocks", type=int, default=1, show_default=True, help="ring block size N (4N points).")
-@click.option("--target", type=str, default=None, help="hypercube: comma-separated indicator support of size n/2.")
-@click.option("--variant", type=click.Choice(["before", "after"]), default="before", show_default=True, help="dcma: which of the paired ground truths to emit.")
-@click.option("--n", "n_points", type=int, default=4, show_default=True, help="random: domain size.")
-@click.option("--groups", "n_groups", type=int, default=2, show_default=True, help="random: group count.")
-@click.option("--seed", type=int, default=0, show_default=True, help="random: seed.")
-@click.option("--grid", type=int, default=20, show_default=True, help="random: value grid denominator.")
-@click.option("-o", "--output", type=str, default=None)
 def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points, n_groups, seed, grid, output):
     """Write a named instance as JSON."""
     try:
@@ -411,7 +360,11 @@ def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points
             if target is None:
                 inst = base
             else:
-                inst = with_target(int(t) for t in target.split(","))
+                try:
+                    members = [int(t) for t in target.split(",")]
+                except ValueError:
+                    _fail(f"bad --target: {_brief(target)} is not a comma-separated list of integers")
+                inst = with_target(members)
         elif family == "cdmc":
             inst = gen_cdmc_example()
         elif family == "fibonacci":
@@ -437,14 +390,6 @@ def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points
 # ---------------------------------------------------------------------------
 
 
-@main.command("landscape")
-@click.argument("instance", type=str)
-@click.option("--metric", type=click.Choice(list(METRICS)), default="wdmc", show_default=True)
-@click.option("--radius", default="1/1000", show_default=True, help="Probe ball radius (rational).")
-@click.option("--trials", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--pretty", is_flag=True)
-@click.option("-o", "--output", type=str, default=None)
 def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
     """Probe a metric's landscape around the audited predictor."""
     inst = _load(instance)
@@ -478,10 +423,6 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
 # ---------------------------------------------------------------------------
 
 
-@main.command("verify")
-@click.option("--suite", type=click.Choice(["paper"]), default="paper", show_default=True)
-@click.option("--pretty", is_flag=True)
-@click.option("-o", "--output", type=str, default=None)
 def cmd_verify(suite, pretty, output):
     """Run the acceptance suite; exit 1 if any criterion fails."""
     results = run_suite()
@@ -511,6 +452,209 @@ def cmd_verify(suite, pretty, output):
             output,
         )
     sys.exit(EXIT_OK if all_ok else EXIT_FAIL)
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors written as every other input error."""
+
+    def error(self, message: str) -> NoReturn:
+        _fail(f"{message} (see '{self.prog} --help')")
+
+
+def _opt(*flags: str, bounds: tuple = (None, None), **kwargs):
+    """One row of the option table: argparse's flags and keywords.  An
+    integer option (`type=int`) must lie within its inclusive `bounds`
+    (None for no bound), and a `choices` option in its choices; both are
+    checked as the argument is parsed, before any work, and a bad value is
+    quoted briefly."""
+    name = flags[-1]
+    if kwargs.get("type") is int:
+        lo, hi = bounds
+
+        def read(text: str) -> int:
+            try:
+                value = int(text)
+            except ValueError:
+                _fail(f"{name} must be an integer, got {_brief(text)}")
+            if lo is not None and value < lo:
+                _fail(f"{name} must be >= {lo}")
+            if hi is not None and value > hi:
+                _fail(f"{name} must be <= {hi}")
+            return value
+
+        kwargs["type"] = read
+    elif "choices" in kwargs:
+        choices = kwargs.pop("choices")
+
+        def read(text: str) -> str:
+            if text not in choices:
+                _fail(f"{name} must be one of {', '.join(choices)}, got {_brief(text)}")
+            return text
+
+        kwargs.update(type=read, metavar="{" + ",".join(choices) + "}")
+    return flags, kwargs
+
+
+_INSTANCE = _opt("instance", help="Instance JSON file, or - for standard input.")
+_PRETTY = _opt("--pretty", action="store_true", help="Human-readable output instead of JSON.")
+_OUTPUT = _opt("-o", "--output", help="Write the report to this path.")
+_SEED = _opt("--seed", type=int, default=0, help="Seed (default: 0).")
+
+# name: (command, options).  Rationals are read by the command that uses them.
+COMMANDS = {
+    "audit": (
+        cmd_audit,
+        (
+            _INSTANCE,
+            _opt("--metrics", help=f"Comma-separated subset of {','.join(METRICS)} (default: all)."),
+            _opt(
+                "--degree",
+                type=int,
+                bounds=(1, DEGREE_CEILING),
+                default=1,
+                help="Check degree-r membership for r = 1..DEGREE (default: 1).",
+            ),
+            _opt("--dump-lp", help="Write the multiaccuracy-distance LP as JSON to this path."),
+            _PRETTY,
+            _OUTPUT,
+        ),
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        (
+            _INSTANCE,
+            _opt("--set", dest="which", choices=("cal", "mcal"), default="mcal", help="Which set (default: mcal)."),
+            _opt("--group", type=int, help="Group index for --set cal."),
+            _PRETTY,
+            _OUTPUT,
+        ),
+    ),
+    "estimate": (
+        cmd_estimate,
+        (
+            _INSTANCE,
+            _opt("--metric", choices=("dce", "dimc"), required=True),
+            _opt("--group", type=int, help="Group index (required for dce)."),
+            _opt("--eps", default="1/50", help="Interval half-width parameter (rational; default: 1/50)."),
+            _opt("--delta", default="1/20", help="Failure probability (rational; default: 1/20)."),
+            _SEED,
+            _opt(
+                "--trials",
+                type=int,
+                bounds=(1, TRIALS_CEILING),
+                default=1,
+                help="Independent runs with seeds seed, seed+1, ... (default: 1).",
+            ),
+            _opt("--csv", dest="as_csv", action="store_true", help="Emit CSV rows instead of JSON."),
+            _OUTPUT,
+        ),
+    ),
+    "generate": (
+        cmd_generate,
+        (
+            _opt(
+                "--family",
+                choices=("three-point", "wdmc-local-min", "ring", "hypercube", "cdmc", "fibonacci", "dcma", "random"),
+                required=True,
+            ),
+            _opt("--alpha", default="0", help="three-point offset (rational; default: 0)."),
+            _opt("--eps", default="1/200", help="Construction parameter (rational; default: 1/200)."),
+            _opt("--delta", default="1/10", help="Construction parameter (rational; default: 1/10)."),
+            # fibonacci writes 2k + 2 points, ring 4N and random n
+            _opt(
+                "--k",
+                type=int,
+                bounds=(None, POINTS_CEILING // 2 - 1),
+                default=3,
+                help="fibonacci chain length / hypercube dimension count (default: 3).",
+            ),
+            _opt(
+                "--blocks",
+                type=int,
+                bounds=(None, POINTS_CEILING // 4),
+                default=1,
+                help="ring block size N, 4N points (default: 1).",
+            ),
+            _opt("--target", help="hypercube: comma-separated indicator support of size n/2."),
+            _opt(
+                "--variant",
+                choices=("before", "after"),
+                default="before",
+                help="dcma: which of the paired ground truths to emit (default: before).",
+            ),
+            _opt(
+                "--n",
+                dest="n_points",
+                type=int,
+                bounds=(None, POINTS_CEILING),
+                default=4,
+                help="random: domain size (default: 4).",
+            ),
+            _opt("--groups", dest="n_groups", type=int, default=2, help="random: group count (default: 2)."),
+            _SEED,
+            _opt(
+                "--grid",
+                type=int,
+                bounds=(None, GRID_CEILING),
+                default=20,
+                help="random: value grid denominator (default: 20).",
+            ),
+            _OUTPUT,
+        ),
+    ),
+    "landscape": (
+        cmd_landscape,
+        (
+            _INSTANCE,
+            _opt("--metric", choices=tuple(METRICS), default="wdmc", help="Metric to probe (default: wdmc)."),
+            _opt("--radius", default="1/1000", help="Probe ball radius (rational; default: 1/1000)."),
+            _opt("--trials", type=int, bounds=(1, TRIALS_CEILING), default=500, help="Probe count (default: 500)."),
+            _SEED,
+            _PRETTY,
+            _OUTPUT,
+        ),
+    ),
+    "verify": (cmd_verify, (_opt("--suite", choices=("paper",), default="paper"), _PRETTY, _OUTPUT)),
+}
+
+
+def _build_parser(prog: str) -> _Parser:
+    parser = _Parser(
+        prog=prog, description="Exact auditing of calibration and multicalibration distances.", allow_abbrev=False
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (command, options) in COMMANDS.items():
+        sub = commands.add_parser(
+            name, help=command.__doc__.split("\n")[0], description=command.__doc__, allow_abbrev=False
+        )
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    return parser
+
+
+_PARSER = _build_parser("mcalaudit")
+
+
+def main(args=None, prog_name: Optional[str] = None) -> NoReturn:
+    """Run `mcalaudit <args>` (by default sys.argv[1:]) and exit with its
+    code.  `prog_name` names the program in usage messages."""
+    argv = sys.argv[1:] if args is None else list(args)
+    parser = _PARSER if prog_name in (None, _PARSER.prog) else _build_parser(prog_name)
+    if not argv:
+        parser.print_help()
+        sys.exit(EXIT_INPUT)
+    if argv[0] not in COMMANDS and argv[0] not in ("-h", "--help"):
+        parser.error(f"no such command {_brief(argv[0])}; choose from {', '.join(COMMANDS)}")
+    parsed, extra = parser.parse_known_args(argv)
+    if extra:
+        _fail(f"unrecognized arguments: {_brief(' '.join(extra))} (see '{parser.prog} {argv[0]} --help')")
+    options = vars(parsed)
+    COMMANDS[options.pop("command")][0](**options)
 
 
 if __name__ == "__main__":

@@ -394,6 +394,14 @@ def _strict_int(v, what: str) -> int:
     return v
 
 
+def _array(d: dict, key: str) -> list:
+    """d[key] if it is a JSON array: a string or an object is iterable too,
+    and would be read by its characters or its keys."""
+    if type(d[key]) is not list:
+        raise ValueError(f"{key} must be an array")
+    return d[key]
+
+
 def instance_from_dict(d: dict) -> Instance:
     n = _strict_int(d["n"], "n")
     labels = None
@@ -401,12 +409,15 @@ def instance_from_dict(d: dict) -> Instance:
         if type(d["labels"]) is not list or any(type(s) is not str for s in d["labels"]):
             raise ValueError("labels must be an array of strings")
         labels = tuple(d["labels"])
+    groups = _array(d, "groups")
+    if any(type(g) is not list for g in groups):
+        raise ValueError("each group must be an array of integers")
     return Instance(
         domain=FiniteDomain(n, labels),
-        marginal=Marginal(d["marginal"]),
-        ground_truth=PredictorVec(d["p_star"]),
-        groups=SubgroupCollection(d["groups"]),
-        audited=PredictorVec(d["f"]),
+        marginal=Marginal(_array(d, "marginal")),
+        ground_truth=PredictorVec(_array(d, "p_star")),
+        groups=SubgroupCollection(groups),
+        audited=PredictorVec(_array(d, "f")),
     )
 
 

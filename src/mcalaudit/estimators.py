@@ -16,7 +16,9 @@ Randomness comes from numpy's PCG64 generator seeded through SeedSequence
 (a fixed, portable, splittable 64-bit algorithm; see the README), so runs
 are bit-for-bit reproducible given a seed.  Sampling probabilities are
 rendered to float64 only to drive the draws; every statistic downstream
-of the integer sample counts is computed in exact rationals.
+of the integer sample counts is computed in exact rationals.  numpy is
+imported inside the sampling functions, not with the module, so the rest
+of the package loads without it.
 
 A batch statistic depends on its draws only through the number of draws
 and of label-1 draws at each prediction value, so the interval
@@ -39,12 +41,13 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import Instance, Subgroup, _int_numerators, group_mass, rat
 from .distances import generated_partition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IntervalEstimate",
@@ -94,6 +97,8 @@ def _upper_decimal(a: Fraction, b: Fraction, digits: int = 30) -> str:
 
 
 def _rng(seed) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -201,7 +206,7 @@ def default_batch_count(delta: Fraction, parts: int = 1) -> int:
     return math.ceil(18 * math.log(parts / delta))
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2**63 - 1  # numpy's int64 maximum
 
 
 def _check_draw_sizes(batch_size: int, batch_count: int, total: int) -> None:
@@ -223,6 +228,8 @@ def _statistics_from_counts(
     fell on each member (and had label 1); members sharing a prediction
     are folded into one value first.
     """
+    import numpy as np
+
     values = sorted({audited[i] for i in members})
     pos = {v: a for a, v in enumerate(values)}
     fold = np.zeros((len(members), len(values)), dtype=np.int64)
@@ -239,6 +246,8 @@ def _draw_batch_statistics(
     from the instance conditioned on `members`, as `_smce_numerators` gives
     them, drawn as sufficient statistics: a multinomial over the members'
     point masses per batch, then a binomial per point for the labels."""
+    import numpy as np
+
     cond = np.array([float(inst.marginal[i]) for i in members])
     cond /= cond.sum()
     pstar = np.array([float(inst.ground_truth[i]) for i in members])
@@ -311,6 +320,8 @@ def dimc_interval(
     per_cell = bs * bc
     total = math.ceil(Fraction(2 * per_cell) / gamma)
     _check_draw_sizes(bs, bc, total)
+
+    import numpy as np
 
     rng = _rng(seed)
     cell_mass = np.array([float(m) for m in masses])

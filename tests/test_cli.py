@@ -7,10 +7,10 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import invoke
 from mcalaudit import LPProblem, lp_solve
 from mcalaudit.cli import _write_json, main
 from mcalaudit.core import dump_instance, instance_from_dict
@@ -18,7 +18,7 @@ from mcalaudit.instances import gen_three_point
 
 
 def _run(args, **kwargs):
-    return CliRunner().invoke(main, args, **kwargs)
+    return invoke(args, **kwargs)
 
 
 def _tp_json(alpha="0"):
@@ -556,3 +556,145 @@ def test_report_writer_writes_what_json_dumps_indent_2_writes(tree):
     out: list[str] = []
     _write_json(tree, "", out)
     assert "".join(out) == json.dumps(tree, indent=2)
+
+
+_LONG_SEED = "5" * 5001
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["landscape", "TP", "--metric", "wdma", "--trials", "1000000000"], "error: --trials must be <= 10000\n"),
+        (["estimate", "TP", "--metric", "dimc", "--trials", "1000000000"], "error: --trials must be <= 10000\n"),
+        (["generate", "--family", "random", "--n", "100000000", "--groups", "3"], "error: --n must be <= 10000\n"),
+        (["generate", "--family", "ring", "--blocks", "100000000"], "error: --blocks must be <= 2500\n"),
+        (["generate", "--family", "fibonacci", "--k", "100000"], "error: --k must be <= 4999\n"),
+        (["generate", "--family", "random", "--grid", "10000000"], "error: --grid must be <= 1000000\n"),
+        (
+            ["landscape", "TP", "--metric", "wdma", "--seed", _LONG_SEED],
+            f"error: --seed must be an integer, got '{'5' * 39}... (5003 characters)\n",
+        ),
+    ],
+    ids=["landscape-trials", "estimate-trials", "random-n", "ring-blocks", "fibonacci-k", "random-grid", "long-seed"],
+)
+def test_option_bounds_refuse_before_any_work(tmp_path, args, message):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    start = time.perf_counter()
+    r = _run([str(p) if a == "TP" else a for a in args])
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 2, r.output[:300]
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output == message
+
+
+def test_option_bounds_are_inclusive():
+    r = _run(["generate", "--family", "ring", "--blocks", "2500"])
+    assert r.exit_code == 0, r.output[:300]
+    assert json.loads(r.output)["n"] == 10_000
+
+
+@pytest.mark.parametrize("raw", ["9" * 5000, "x" * 5000])
+def test_a_long_budget_env_is_quoted_briefly(tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("MCAL_AUDIT_BUDGET", raw)
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    r = _run(["audit", str(p), "--metrics", "dmc"])
+    assert r.exit_code == 2, r.output[:300]
+    assert r.output.startswith("error: MCAL_AUDIT_BUDGET must be a positive integer, got '")
+    assert r.output.endswith("... (5002 characters)\n") and len(r.output) < 300
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["bogus"],
+        ["x" * 5000],
+        ["audit"],
+        ["audit", "TP", "--nope"],
+        ["audit", "TP", "extra"],
+        ["audit", "TP", "--degree", "x"],
+        ["audit", "TP", "--degree"],
+        ["audit", "TP", "--metrics", "dmc,bogus"],
+        ["audit", "TP", "--pre"],
+        ["estimate", "TP", "--metric", "foo"],
+        ["estimate", "TP"],
+        ["enumerate", "TP", "--set", "x" * 5000],
+        ["generate"],
+        ["generate", "--family", "hypercube", "--k", "3", "--target", "0,x"],
+        ["verify", "--suite", "other"],
+    ],
+)
+def test_usage_errors_exit_2_in_the_programs_words(tmp_path, args):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    r = _run([str(p) if a == "TP" else a for a in args])
+    assert r.exit_code == 2, r.output[:300]
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Traceback" not in r.output
+    if args:
+        assert r.stdout == "" and r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.output[:300]
+        assert len(r.stderr) < 300
+    else:
+        assert r.stdout.startswith("usage: mcalaudit")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["audit", "--help"], ["estimate", "-h"]])
+def test_help_exits_0(args):
+    r = _run(args)
+    assert r.exit_code == 0, r.output
+    assert r.stdout.startswith("usage: mcalaudit")
+
+
+def test_prog_name_names_the_program_in_usage_errors():
+    buf = io.StringIO()
+    with contextlib.redirect_stderr(buf), pytest.raises(SystemExit) as exit_info:
+        main(["audit"], prog_name="auditor")
+    assert exit_info.value.code == 2
+    assert "'auditor audit --help'" in buf.getvalue()
+
+
+def test_numpy_and_click_stay_unloaded_until_an_estimate(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    script = f"""
+import contextlib, io, sys
+import mcalaudit.cli as cli
+
+def call(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main(list(args))
+        except SystemExit as e:
+            assert e.code == 0, (args, e.code)
+
+call("audit", {str(p)!r})
+call("generate", "--family", "cdmc")
+call("enumerate", {str(p)!r})
+loaded = [m for m in ("numpy", "click") if m in sys.modules]
+assert not loaded, loaded
+call("estimate", {str(p)!r}, "--metric", "dimc")
+assert "numpy" in sys.modules and "click" not in sys.modules
+
+from mcalaudit.estimators import dce_interval, dimc_interval
+sys.path.insert(0, {str(tests)!r})
+from test_estimators import PINNED, PINNED_INSTANCES
+for (name, seed), pinned in PINNED.items():
+    inst = PINNED_INSTANCES[name]
+    ests = [dce_interval(inst, S, "1/50", "1/20", seed=seed) for S in inst.groups]
+    ests.append(dimc_interval(inst, "1/50", "1/20", seed=seed))
+    assert [(str(e.point), str(e.lower), e.upper_decimal) for e in ests] == pinned, (name, seed)
+print("ok")
+"""
+    src = str(tests.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "ok\n"
