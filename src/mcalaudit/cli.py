@@ -97,6 +97,14 @@ def _budget() -> int:
     return value
 
 
+def _create(path: str, **kwargs):
+    """`open(path, "w")`; a path that cannot be written is an input error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as e:
+        _fail(f"cannot write {_brief(path)}: {e.strerror}")
+
+
 def _rat_json(x: Fraction) -> dict:
     return {"rational": _rat_str(x), "decimal": to_decimal(x)}
 
@@ -168,7 +176,7 @@ def _emit(payload: dict, output: Optional[str]):
     _write_json(payload, "", chunks)
     text = "".join(chunks)
     if output:
-        with open(output, "w") as fh:
+        with _create(output) as fh:
             fh.write(text + "\n")
     else:
         _echo(text)
@@ -240,7 +248,7 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
     )
 
     if dump_lp:
-        with open(dump_lp, "w") as fh:
+        with _create(dump_lp) as fh:
             fh.write(_dma_problem(inst).to_json() + "\n")
 
     if pretty:
@@ -329,7 +337,7 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
         )
 
     if as_csv:
-        with open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
+        with _create(output, newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "point", "lower", "upper", "samples_used"])
             for r in runs:
@@ -378,7 +386,7 @@ def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points
         _fail(str(e))
     text = dump_instance(inst)
     if output:
-        with open(output, "w") as fh:
+        with _create(output) as fh:
             fh.write(text + "\n")
     else:
         _echo(text)

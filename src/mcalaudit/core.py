@@ -6,7 +6,9 @@ statement about exact conditional means, and several of the quantities this
 package audits are discontinuous in the ground truth, so floating point is
 confined to the decimal reporting view `to_decimal`.
 
-All types are immutable after construction and all operations are pure.
+All types are immutable after construction and all operations are pure;
+an `Instance` also keeps the engine tables built for it, which are not
+part of its value.
 """
 
 from __future__ import annotations
@@ -58,13 +60,17 @@ _DIGIT_RUN = re.compile(r"\d[\d_]*")
 ECHO_CEILING = 40
 
 
-def _brief(x) -> str:
-    """repr(x), cut to its first ECHO_CEILING characters and its length when
+def _cut(text: str) -> str:
+    """text, cut to its first ECHO_CEILING characters and its length when
     longer, so that an error message does not grow with the input."""
-    text = repr(x)
     if len(text) <= ECHO_CEILING:
         return text
     return f"{text[:ECHO_CEILING]}... ({len(text)} characters)"
+
+
+def _brief(x) -> str:
+    """repr(x), cut as `_cut` does."""
+    return _cut(repr(x))
 
 
 def rat(x) -> Fraction:
@@ -242,6 +248,7 @@ class Instance:
 
     Labels are Bernoulli: y ~ Ber(p*(x)) with x drawn from the marginal.
     `audited` is the predictor f whose distance metrics are being measured.
+    The `with_*` copies start with no tables.
     """
 
     domain: FiniteDomain
@@ -249,6 +256,9 @@ class Instance:
     ground_truth: PredictorVec
     groups: SubgroupCollection
     audited: PredictorVec
+    # Engine tables, keyed by (table class, subgroup members) and built on
+    # first use (`enumeration._tables`); not part of the instance's value.
+    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

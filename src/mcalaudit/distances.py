@@ -20,6 +20,10 @@ tables on the whole domain and runs a branch and bound over partitions,
 bounded below by the DP and pruned against the best unbiased partition
 found so far.  dmc lists no multicalibrated set: a branch and bound joins
 the per-group calibrated sets, each candidate scored once in integers.
+The class tables and partition scores of the instance's groups and of its
+whole domain are built once per instance (`enumeration._tables`), so the
+metrics of one audit share them: wdmc, dmc and dimc read a group's, dcma
+the domain's.
 All three refuse k above PARTITION_CEILING with `BudgetExceeded`, and dmc
 also refuses a per-group Bell-number product above its budget.  `METRICS`
 is the one table of the six audited metrics.
@@ -48,6 +52,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     _check_bell_product,
     _ClassTables,
+    _tables,
     calibrated_set,
     is_calibrated,
     is_multiaccurate,
@@ -94,7 +99,7 @@ class _PartitionScores:
     """
 
     def __init__(self, inst: Instance, S: Subgroup):
-        t = _ClassTables(inst, S)
+        t = _tables(_ClassTables, inst, S)
         f = inst.audited
         fs = [f[x] for x in S.members]
         full = (1 << t.k) - 1
@@ -157,7 +162,7 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
     lexicographically smallest restricted value vector; the DP score
     carries that vector's key in its low bits, so ties cost nothing extra.
     """
-    scores = _PartitionScores(inst, S)
+    scores = _tables(_PartitionScores, inst, S)
     return scores.result(scores.best[-1])
 
 
@@ -345,7 +350,7 @@ def dcma(inst: Instance) -> DistanceResult:
     nearest members.  The domain has mass 1, so the conditional distance
     that `_PartitionScores` reports is the l1 distance.
     """
-    scores = _PartitionScores(inst, Subgroup(range(inst.n)))
+    scores = _tables(_PartitionScores, inst, Subgroup(range(inst.n)))
     t, L, cost, best = scores.tables, scores.L, scores.cost, scores.best
     mass, num = t.mass, t.num
     groups = [sum(1 << x for x in S.members) for S in inst.groups]

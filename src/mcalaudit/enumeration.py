@@ -22,7 +22,9 @@ below (`enumerate --set mcal`) and `distances.dmc`, which takes each
 group's candidates from it.  `distances.dce` runs an O(3^k) subset DP over
 the same tables, and `distances.dcma` a branch and bound bounded by that
 DP, with no partition stream.  All refuse k > PARTITION_CEILING before
-they build a table.
+they build a table.  Each takes its tables through `_tables`, which keeps
+the tables of the instance's groups and of its whole domain on the
+instance, so that one audit builds them once for all its metrics.
 
 Multicalibrated predictors are assembled by joining per-group calibrated
 sets under agreement on overlaps; the join and dmc refuse first when the
@@ -192,6 +194,26 @@ class _Means(dict):
         return v
 
 
+def _tables(cls, inst: Instance, S: Subgroup):
+    """`cls(inst, S)`, the tables of S of one class (`_ClassTables` or
+    `distances._PartitionScores`), built once per instance for each of its
+    groups and for the whole domain and kept on the instance: those are the
+    subgroups that more than one metric asks for.  Any other subgroup (a
+    dimc cell that is no group) is built on every call and not kept."""
+    key = (cls, S.members)
+    cache = inst._table_cache
+    tables = cache.get(key)
+    if tables is None:
+        tables = cls(inst, S)
+        members = S.members
+        # sorted distinct indices: n of them ending at n - 1 are the domain
+        if (len(members) == inst.n and members[-1] == inst.n - 1) or any(
+            g.members == members for g in inst.groups
+        ):
+            cache[key] = tables
+    return tables
+
+
 def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], ...]:
     """Enumerate cal(D|S) exactly, as value tuples in S.members order.
 
@@ -202,7 +224,7 @@ def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], .
     module docstring), so the set is the distinct candidates.  They are
     deduplicated as integer keys and decoded once, in sorted order.
     """
-    t = _ClassTables(inst, S)
+    t = _tables(_ClassTables, inst, S)
     code = t.code
     found: set[int] = set()
 

@@ -12,11 +12,13 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .core import (
+    ECHO_CEILING,
     FiniteDomain,
     Instance,
     Marginal,
     PredictorVec,
     SubgroupCollection,
+    _cut,
     rat,
 )
 
@@ -61,7 +63,7 @@ def gen_three_point(alpha) -> Instance:
     """
     alpha = rat(alpha)
     if not Fraction(0) <= alpha <= Fraction(1, 5):
-        raise ValueError(f"alpha must lie in [0, 1/5], got {alpha}")
+        raise ValueError(f"alpha must lie in [0, 1/5], got {_cut(str(alpha))}")
     p_star = [Fraction(4, 5), Fraction(1, 5), Fraction(4, 5) + alpha]
     return _uniform_instance(3, p_star, [[0, 1], [1, 2]], [Fraction(1, 2)] * 3)
 
@@ -72,13 +74,13 @@ def gen_wdmc_local_min(eps, delta) -> Instance:
     smaller value sits at l1 distance delta."""
     eps, delta = rat(eps), rat(delta)
     if not Fraction(0) <= delta < Fraction(1, 2):
-        raise ValueError(f"need delta in [0, 1/2), got {delta}")
+        raise ValueError(f"need delta in [0, 1/2), got {_cut(str(delta))}")
     if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
+        raise ValueError(f"need eps > 0, got {_cut(str(eps))}")
     if delta + 6 * eps > Fraction(1, 2):
-        raise ValueError(f"need delta + 6*eps <= 1/2, got {delta + 6 * eps}")
+        raise ValueError(f"need delta + 6*eps <= 1/2, got {_cut(str(delta + 6 * eps))}")
     if eps > delta / 9:
-        raise ValueError(f"need eps <= delta/9, got eps={eps}, delta/9={delta / 9}")
+        raise ValueError(f"need eps <= delta/9, got eps={_cut(str(eps))}, delta/9={_cut(str(delta / 9))}")
     half = Fraction(1, 2)
     p_star = [half + delta - 6 * eps, half - delta, half + delta + 6 * eps]
     f = [half - 3 * eps, half, half + 3 * eps]
@@ -165,7 +167,10 @@ def gen_fibonacci(k: int, eps) -> Instance:
     fib = fibonacci_number
     limit = Fraction(1, 2 * (k + 1) * fib(k + 1))
     if not Fraction(0) < eps < limit:
-        raise ValueError(f"need eps in (0, {limit}), got {eps}")
+        bound, where = str(limit), ""
+        if len(bound) > ECHO_CEILING:  # ~1,050 digits at k = 4999
+            bound, where = f"1/({2 * (k + 1)}*F({k + 1}))", " for F(i) the i-th Fibonacci number"
+        raise ValueError(f"need eps in (0, {bound}){where}, got {_cut(str(eps))}")
     n = 2 * k + 2
     delta = 2 * (k + 1) * eps
 
@@ -196,7 +201,7 @@ def gen_dcma_example(eps) -> tuple[Instance, Instance]:
     predictor far away."""
     eps = rat(eps)
     if not Fraction(0) < eps <= Fraction(1, 10):
-        raise ValueError(f"eps must lie in (0, 1/10], got {eps}")
+        raise ValueError(f"eps must lie in (0, 1/10], got {_cut(str(eps))}")
     p_star = ["3/5", "1/5", "7/10", "3/10", "1/2", "2/5"]
     f = ["3/5", "3/10", "3/5", "3/10", "3/5", "3/10"]
     groups = [[0, 1, 2], [2, 3, 4], [0, 4, 5]]
@@ -216,10 +221,13 @@ def gen_random(
 ) -> Instance:
     """Seeded random instance whose groups always cover the domain.
 
-    Groups start as a random partition of the domain into k blocks (so the
-    cover is guaranteed), then each gains random extra members up to
-    max_group_size; keeping groups small keeps the enumeration joins
-    affordable.  Ground truth and audited values live on the 1/grid grid.
+    Groups start as a random partition of the domain into k blocks, each
+    keeping at most max_group_size of its points, then each gains random
+    extra members up to max_group_size; keeping groups small keeps the
+    enumeration joins affordable.  Points that no group then holds are swept
+    into random groups, which can grow a group past max_group_size (when n
+    exceeds k * max_group_size), so the groups always cover the domain.
+    Ground truth and audited values live on the 1/grid grid.
     """
     if n < 1 or k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
@@ -246,7 +254,7 @@ def gen_random(
     for c in cuts + [n]:
         blocks.append(idx[prev:c])
         prev = c
-    groups: list[tuple[int, ...]] = []
+    groups: dict[tuple[int, ...], None] = {}  # an ordered set
     for b in blocks:
         members = set(b[:max_group_size])
         while len(members) < max_group_size and rng.random() < 0.5:
@@ -259,25 +267,23 @@ def gen_random(
             members.add(rng.choice(extras))
             key = tuple(sorted(members))
         if key not in groups:
-            groups.append(key)
-    # Trimmed or dropped blocks might leave points uncovered; sweep them in.
-    covered = set().union(*map(set, groups))
-    for x in (x for x in range(n) if x not in covered):
-        order = list(range(len(groups)))
-        rng.shuffle(order)
-        for gi in order:
-            key = tuple(sorted(set(groups[gi]) | {x}))
-            if key not in groups:
-                groups[gi] = key
-                break
-        else:
-            groups.append((x,))
+            groups[key] = None
+    # Trimmed or dropped blocks might leave points uncovered.  Each is swept
+    # into the first group of a fresh shuffle: no group holds it yet, so the
+    # grown group equals no other.
+    sets = [set(g) for g in groups]
+    covered = set().union(*sets)
+    for x in range(n):
+        if x not in covered:
+            order = list(range(len(sets)))
+            rng.shuffle(order)
+            sets[order[0]].add(x)
 
     return Instance(
         domain=FiniteDomain(n),
         marginal=marginal,
         ground_truth=PredictorVec(grid_vec()),
-        groups=SubgroupCollection(groups),
+        groups=SubgroupCollection(sets),
         audited=PredictorVec(grid_vec()),
     )
 

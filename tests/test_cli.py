@@ -594,6 +594,39 @@ def test_option_bounds_are_inclusive():
     assert json.loads(r.output)["n"] == 10_000
 
 
+_LONG = "3" * 4000 + "/7"
+_CUT = f"{'3' * 40}... (4002 characters)"
+_LONG_SUM = str(Fraction(1, 10) + 6 * Fraction(_LONG))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (
+            ["fibonacci", "--k", "4999"],
+            "error: need eps in (0, 1/(10000*F(5000))) for F(i) the i-th Fibonacci number, got 1/200\n",
+        ),
+        (["fibonacci", "--k", "3", "--eps", "1/10"], "error: need eps in (0, 1/24), got 1/10\n"),
+        (["fibonacci", "--k", "3", "--eps", _LONG], f"error: need eps in (0, 1/24), got {_CUT}\n"),
+        (["three-point", "--alpha", _LONG], f"error: alpha must lie in [0, 1/5], got {_CUT}\n"),
+        (["dcma", "--eps", _LONG], f"error: eps must lie in (0, 1/10], got {_CUT}\n"),
+        (["wdmc-local-min", "--delta", _LONG], f"error: need delta in [0, 1/2), got {_CUT}\n"),
+        (
+            ["wdmc-local-min", "--eps", _LONG],
+            f"error: need delta + 6*eps <= 1/2, got {_LONG_SUM[:40]}... ({len(_LONG_SUM)} characters)\n",
+        ),
+    ],
+    ids=["fibonacci-largest-k", "fibonacci-small-k", "fibonacci-long-eps", "three-point", "dcma", "wdmc-delta", "wdmc-eps"],
+)
+def test_generators_quote_their_parameters_briefly(args, message):
+    # The fibonacci limit 1/(2(k+1)F(k+1)) has ~1,050 digits at k = 4999,
+    # and a rational parameter may have 4,000.
+    r = _run(["generate", "--family", *args])
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert r.output == message and len(r.output.encode()) < 300
+
+
 @pytest.mark.parametrize("raw", ["9" * 5000, "x" * 5000])
 def test_a_long_budget_env_is_quoted_briefly(tmp_path, monkeypatch, raw):
     monkeypatch.setenv("MCAL_AUDIT_BUDGET", raw)

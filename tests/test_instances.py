@@ -1,8 +1,10 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from mcalaudit import validate
+from mcalaudit import FiniteDomain, Instance, Marginal, PredictorVec, SubgroupCollection, validate
 from mcalaudit.instances import (
     fibonacci_number,
     gen_cdmc_example,
@@ -132,6 +134,74 @@ def test_gen_random_always_valid_and_covering(seed):
 def test_gen_random_deterministic():
     assert gen_random(5, 2, seed=42) == gen_random(5, 2, seed=42)
     assert gen_random(5, 2, seed=42) != gen_random(5, 2, seed=43)
+
+
+def _gen_random_oracle(n, k, seed, grid_denominator=20, max_group_size=4, uniform_marginal=False):
+    """gen_random as first written: the groups a list, and the coverage
+    sweep rebuilding a sorted tuple and testing it against every group for
+    every point it sweeps in."""
+    rng = random.Random(seed)
+    if uniform_marginal or rng.random() < 0.5:
+        marginal = Marginal.uniform(n)
+    else:
+        weights = [rng.randrange(1, grid_denominator + 1) for _ in range(n)]
+        marginal = Marginal([Fraction(w, sum(weights)) for w in weights])
+
+    def grid_vec():
+        return [Fraction(rng.randrange(0, grid_denominator + 1), grid_denominator) for _ in range(n)]
+
+    idx = list(range(n))
+    rng.shuffle(idx)
+    cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+    blocks, prev = [], 0
+    for c in cuts + [n]:
+        blocks.append(idx[prev:c])
+        prev = c
+    groups = []
+    for b in blocks:
+        members = set(b[:max_group_size])
+        while len(members) < max_group_size and rng.random() < 0.5:
+            members.add(rng.randrange(n))
+        key = tuple(sorted(members))
+        while key in groups:
+            extras = [x for x in range(n) if x not in members]
+            if not extras:
+                break
+            members.add(rng.choice(extras))
+            key = tuple(sorted(members))
+        if key not in groups:
+            groups.append(key)
+    covered = set().union(*map(set, groups))
+    for x in (x for x in range(n) if x not in covered):
+        order = list(range(len(groups)))
+        rng.shuffle(order)
+        for gi in order:
+            key = tuple(sorted(set(groups[gi]) | {x}))
+            if key not in groups:
+                groups[gi] = key
+                break
+        else:
+            groups.append((x,))
+    p_star = grid_vec()
+    return Instance(FiniteDomain(n), marginal, PredictorVec(p_star), SubgroupCollection(groups), PredictorVec(grid_vec()))
+
+
+def test_gen_random_matches_the_first_generator():
+    rng = random.Random(2024)
+    cases = [(n, k, mgs) for n in range(1, 16) for k in range(1, n + 1) for mgs in (1, 2, 4, 6)]
+    cases += [(200, 3, 4), (300, 299, 1), (120, 40, 2)]
+    for n, k, mgs in cases:
+        seed = rng.randrange(2**32)
+        args = (n, k, seed, rng.choice([2, 20, 97]), mgs, rng.random() < 0.2)
+        assert gen_random(*args) == _gen_random_oracle(*args), args
+
+
+def test_gen_random_sweeps_ten_thousand_points_at_once():
+    # The first sweep took ~2 s here; the groups grow far past max_group_size.
+    start = time.perf_counter()
+    inst = gen_random(10_000, 3, 0)
+    assert time.perf_counter() - start < 0.5
+    assert inst.groups.covers(10_000) and max(map(len, inst.groups)) > 4
 
 
 def test_gen_random_rejects_bad_shape():
