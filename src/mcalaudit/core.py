@@ -106,8 +106,9 @@ def rat(x) -> Fraction:
 
 def _int_numerators(values) -> tuple[list[int], int]:
     """Fractions and ints as integer numerators over the lcm of their denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 @lru_cache(maxsize=None)
@@ -178,11 +179,18 @@ class PredictorVec:
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 
+    @classmethod
+    def _of(cls, values: Iterable[Fraction]) -> "PredictorVec":
+        """A PredictorVec of values that are Fractions already, without `rat`."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", tuple(values))
+        return vec
+
     def with_values(self, updates: dict[int, Fraction]) -> "PredictorVec":
         vals = list(self.values)
         for i, v in updates.items():
-            vals[i] = v
-        return PredictorVec(vals)
+            vals[i] = rat(v)
+        return PredictorVec._of(vals)
 
 
 @dataclass(frozen=True)
@@ -282,10 +290,10 @@ def _check_dims(f: PredictorVec, g: PredictorVec, m: Marginal):
 def _weighted_differences(f: PredictorVec, g: PredictorVec, m: Marginal) -> tuple[list[int], int]:
     """m(x)(f(x) - g(x)) at every point x as integer numerators over one
     common denominator D, the lcm of den(m(x))den(f(x))den(g(x)); and D."""
+    ratio = Fraction.as_integer_ratio
     terms = [
-        (w.numerator * (a.numerator * b.denominator - b.numerator * a.denominator),
-         w.denominator * a.denominator * b.denominator)
-        for w, a, b in zip(m.probs, f.values, g.values)
+        (wn * (an * bd - bn * ad), wd * ad * bd)
+        for (wn, wd), (an, ad), (bn, bd) in zip(map(ratio, m.probs), map(ratio, f.values), map(ratio, g.values))
     ]
     D = lcm(*(d for _, d in terms))
     return [t * (D // d) for t, d in terms], D
@@ -301,8 +309,10 @@ def l1_distance(f: PredictorVec, g: PredictorVec, m: Marginal) -> Fraction:
 
 
 def group_mass(m: Marginal, S: Subgroup) -> Fraction:
-    """Total marginal mass of S."""
-    return sum((m[i] for i in S.members), Fraction(0))
+    """Total marginal mass of S, summed in integer numerators."""
+    probs = m.probs
+    nums, den = _int_numerators([probs[i] for i in S.members])
+    return Fraction(sum(nums), den)
 
 
 def conditional_l1(f: PredictorVec, g: PredictorVec, m: Marginal, S: Subgroup) -> Fraction:
@@ -346,22 +356,25 @@ def validate(inst: Instance) -> ValidationReport:
     Each check reads the input's own entries, never range(n), so a huge
     declared n with short vectors is refused without allocating.  Whether
     the groups cover the domain is not an invariant: only dimc requires
-    it, and checks it itself.
+    it, and checks it itself.  Signs and bounds are read off numerators
+    (a denominator is positive), and the marginal's mass is summed in
+    integer numerators.
     """
     violations: list[str] = []
     n = inst.domain.n
     if inst.marginal.n != n:
         violations.append(f"marginal has {inst.marginal.n} entries, domain has {n}")
     else:
-        if any(p <= 0 for p in inst.marginal.probs):
+        if any(p.numerator <= 0 for p in inst.marginal.probs):
             violations.append("marginal must be strictly positive on every point")
-        total = sum(inst.marginal.probs, Fraction(0))
-        if total != 1:
-            violations.append(f"marginal mass is {total}, not 1")
+        nums, den = _int_numerators(inst.marginal.probs)
+        total = sum(nums)
+        if total != den:
+            violations.append(f"marginal mass is {Fraction(total, den)}, not 1")
     for name, vec in (("p_star", inst.ground_truth), ("f", inst.audited)):
         if vec.n != n:
             violations.append(f"{name} has {vec.n} entries, domain has {n}")
-        elif any(v < 0 or v > 1 for v in vec.values):
+        elif any(v.numerator < 0 or v.numerator > v.denominator for v in vec.values):
             violations.append(f"{name} has entries outside [0, 1]")
     for g in inst.groups:
         if g.members[-1] >= n:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .core import BudgetExceeded, Instance, PredictorVec, Subgroup, _int_numerators, _weighted_differences
@@ -132,12 +132,19 @@ class _ClassTables:
         members = S.members
         k = len(members)
         _check_ceiling(k)  # before any allocation
-        m = inst.marginal
-        p = inst.ground_truth
-        ms = [m[x] for x in members]
-        ws = [m[x] * p[x] for x in members]
-        scaled, _ = _int_numerators(ms + ws)
-        M, N = scaled[:k], scaled[k:]
+        m = inst.marginal.probs
+        p = inst.ground_truth.values
+        ms = [m[x].as_integer_ratio() for x in members]
+        # m(x)p*(x) as a reduced numerator and denominator
+        ws = []
+        for (a, b), x in zip(ms, members):
+            c, d = p[x].as_integer_ratio()
+            a, b = a * c, b * d
+            g = gcd(a, b)
+            ws.append((a // g, b // g))
+        scale = lcm(*(b for _, b in ms), *(b for _, b in ws))
+        M = [a * (scale // b) for a, b in ms]
+        N = [a * (scale // b) for a, b in ws]
         size = 1 << k
         K = sum(M) ** 2  # mass[full] ** 2
         mass = [0] * size

@@ -24,6 +24,14 @@ takes exactly the pivots and flips of a `Fraction` tableau over the
 unscaled variables and the solve ends at the same vertex, without a
 `Fraction` operation in the inner loop.
 
+The LP is fed and read in integers too.  Each group's rhs is one integer
+sum of m(x)(p*(x) - f(x)) over a common denominator
+(`core._weighted_differences`), which `wdma` and `bias` compare as well;
+`lp_solve` scales each row by products of numerators and of
+denominators, prices out phase 1 column by column, and builds a
+`Fraction` only for each basic variable and the optimum; `dma` forms
+f + u - v only where u or v is not 0.
+
 Group masses and conditional label means are taken exactly from the
 Instance; sensitivity of the program to estimated constraint data is out
 of scope here.
@@ -35,9 +43,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
-from .core import DistanceResult, Instance, PredictorVec, Subgroup, WitnessError, _int_numerators, _rat_str, group_mass
+from .core import (
+    DistanceResult,
+    Instance,
+    PredictorVec,
+    Subgroup,
+    WitnessError,
+    _rat_str,
+    _weighted_differences,
+    group_mass,
+)
 from .enumeration import is_multiaccurate
 
 __all__ = [
@@ -54,6 +72,7 @@ __all__ = [
 # instances, 1,374 phases) a phase took at most 29 steps and at most 0.73
 # per row and column, so this bound is far above any LP seen.
 STEPS_PER_SIZE = 50
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -206,6 +225,17 @@ def _pivot(rows: list[list[int]], dens: list[int], row: int, col: int):
             rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, col, support)
 
 
+def _scaled_row(coeffs, bounds: list[tuple[int, int]], last) -> tuple[list[int], int]:
+    """c * hi for each coefficient c and its column's bound hi (given as
+    a numerator and a denominator), then last, as reduced integer
+    numerators over one positive denominator: products of numerators and
+    of denominators, with no `Fraction` built."""
+    terms = [(a * c, b * d) for (a, b), (c, d) in zip([x.as_integer_ratio() for x in coeffs], bounds)]
+    terms.append(last.as_integer_ratio())
+    den = lcm(*(d for t, d in terms if t))
+    return _reduced([t * (den // d) if t else 0 for t, d in terms], den)
+
+
 def lp_solve(problem: LPProblem) -> LPSolution:
     """Exact two-phase bounded-variable simplex.
 
@@ -214,28 +244,29 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     where its rhs is negative, with one artificial.  Phase 1 minimizes the
     sum of the artificials and carries the objective row along; a positive
     phase-1 optimum certifies infeasibility.  Every variable is bounded, so
-    phase 2 ends at an optimum.
+    phase 2 ends at an optimum.  The rows are set up in integers; a
+    `Fraction` is built only for each basic variable and the optimum.
     """
     nv = len(problem.objective)
     upper = problem.upper
+    bounds = [hi.as_integer_ratio() for hi in upper]
     tab: list[list[int]] = []
     dens: list[int] = []
     for coeffs, rhs in problem.constraints:
-        row, den = _int_numerators([c * hi if c and hi else 0 for c, hi in zip(coeffs, upper)] + [rhs])
-        tab.append([-v for v in row] if rhs < 0 else row)
+        row, den = _scaled_row(coeffs, bounds, rhs)
+        tab.append([-v for v in row] if row[-1] < 0 else row)
         dens.append(den)
     nrows = len(tab)
     basis = list(range(nv, nv + nrows))  # the artificial of row i
-    obj, den = _int_numerators([c * hi if c and hi else 0 for c, hi in zip(problem.objective, upper)] + [0])
-    tab.append(obj)
-    dens.append(den)
-    # The sum of the artificials, priced out: minus the sum of the rows.
-    den = lcm(*dens[:nrows])
-    scale = [den // d for d in dens[:nrows]]
-    obj = [-sum(row[j] * k for row, k in zip(tab, scale)) for j in range(nv + 1)]
-    obj, den = _reduced(obj, den)
-    tab.append(obj)
-    dens.append(den)
+    # The sum of the artificials, priced out: minus the sum of the rows,
+    # column by column over their common denominator.
+    den = lcm(*dens)
+    scale = [den // d for d in dens]
+    phase1 = [-sum(map(mul, col, scale)) for col in zip(*tab)] if tab else [0] * (nv + 1)
+    phase1, den = _reduced(phase1, den)
+    obj, obj_den = _scaled_row(problem.objective, bounds, 0)
+    tab += [obj, phase1]
+    dens += [obj_den, den]
 
     flipped = [False] * nv
     _simplex(tab, dens, basis, flipped, nrows)
@@ -254,35 +285,38 @@ def lp_solve(problem: LPProblem) -> LPSolution:
                     break
     _simplex(tab, dens, basis, flipped, nrows)
 
-    # A non-basic y is 0, so x is 0, or upper where y is flipped.
-    values = [hi if fl else Fraction(0) for hi, fl in zip(upper, flipped)]
+    # A non-basic y is 0, so x is 0, or upper where y is flipped; a basic
+    # y = t/d gives x = upper * t/d, or upper * (d - t)/d where flipped.
+    values = [hi if fl else _ZERO for hi, fl in zip(upper, flipped)]
     for i, j in enumerate(basis):
         if j < nv:
-            y = Fraction(tab[i][-1], dens[i])
-            values[j] = upper[j] * (1 - y if flipped[j] else y)
+            t, d = tab[i][-1], dens[i]
+            a, b = bounds[j]
+            values[j] = Fraction(a * (d - t if flipped[j] else t), b * d)
     return LPSolution("optimal", Fraction(-tab[-1][-1], dens[-1]), tuple(values))
 
 
-def _signed_bias_mass(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
-    """sum over S of m(x)(p*(x) - f(x)): the group's mass times its signed bias."""
-    m = inst.marginal
-    p = inst.ground_truth
-    return sum((m[i] * (p[i] - f[i]) for i in S.members), Fraction(0))
+def _signed_bias_masses(f: PredictorVec, inst: Instance, groups) -> tuple[list[int], int]:
+    """sum over S of m(x)(p*(x) - f(x)), each group's mass times its signed
+    bias, for each S in groups, as integer numerators over one common
+    denominator D; and D."""
+    e, D = _weighted_differences(inst.ground_truth, f, inst.marginal)
+    return [sum(e[i] for i in S.members) for S in groups], D
 
 
 def bias(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
     """|conditional mean of the ground truth minus f over S|, exact."""
-    return abs(_signed_bias_mass(f, inst, S)) / group_mass(inst.marginal, S)
+    (s,), D = _signed_bias_masses(f, inst, (S,))
+    return Fraction(abs(s), D) / group_mass(inst.marginal, S)
 
 
 def wdma(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted bias of the audited predictor: the largest
     |sum_S m(p* - f)| over the groups."""
+    sums, D = _signed_bias_masses(inst.audited, inst, inst.groups)
     # max returns the first of several maximal groups.
-    return max(
-        ((abs(_signed_bias_mass(inst.audited, inst, S)), S) for S in inst.groups),
-        key=lambda vs: vs[0],
-    )
+    worst = max(range(len(sums)), key=lambda g: abs(sums[g]))
+    return Fraction(abs(sums[worst]), D), inst.groups[worst]
 
 
 def _dma_problem(inst: Instance) -> LPProblem:
@@ -292,14 +326,14 @@ def _dma_problem(inst: Instance) -> LPProblem:
     n = inst.n
     m = inst.marginal.probs
     f = inst.audited
-    zero = Fraction(0)
+    sums, D = _signed_bias_masses(f, inst, inst.groups)
     constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for S in inst.groups:
-        coeffs = [zero] * (2 * n)
+    for S, s in zip(inst.groups, sums):
+        coeffs = [_ZERO] * (2 * n)
         for i in S.members:
             coeffs[i] = m[i]
             coeffs[n + i] = -m[i]
-        constraints.append((tuple(coeffs), _signed_bias_mass(f, inst, S)))
+        constraints.append((tuple(coeffs), Fraction(s, D)))
     return LPProblem(m * 2, tuple(constraints), tuple(1 - v for v in f.values) + f.values)
 
 
@@ -309,8 +343,12 @@ def dma(inst: Instance) -> DistanceResult:
     if sol.status != "optimal":  # pragma: no cover - g = p* is always feasible
         raise RuntimeError(f"distance LP ended with status {sol.status}")
     n = inst.n
-    u, v = sol.assignment[:n], sol.assignment[n:]
-    witness = PredictorVec(inst.audited[i] + u[i] - v[i] for i in range(n))
+    f = inst.audited.values
+    g = list(f)
+    for i, (u, v) in enumerate(zip(sol.assignment[:n], sol.assignment[n:])):
+        if u or v:
+            g[i] = f[i] + u - v
+    witness = PredictorVec._of(g)
     if not is_multiaccurate(witness, inst):
         raise WitnessError("dma witness is not multiaccurate")
     return DistanceResult(value=sol.optimum, witness=witness)

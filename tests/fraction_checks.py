@@ -42,3 +42,39 @@ def is_degree_r_multicalibrated(f, inst, r):
 
 def l1_distance(f, g, m):
     return sum((m[i] * abs(f[i] - g[i]) for i in range(f.n)), Fraction(0))
+
+
+def group_mass(m, S):
+    return sum((m[i] for i in S.members), Fraction(0))
+
+
+def signed_bias_mass(f, inst, S):
+    """sum over S of m(x)(p*(x) - f(x)): the group's mass times its signed bias."""
+    m = inst.marginal
+    p = inst.ground_truth
+    return sum((m[i] * (p[i] - f[i]) for i in S.members), Fraction(0))
+
+
+def validate_messages(inst):
+    """The violations of `core.validate`, each test read off `Fraction`
+    comparisons and the marginal's mass a `Fraction` sum."""
+    violations = []
+    n = inst.domain.n
+    probs = inst.marginal.probs
+    if len(probs) != n:
+        violations.append(f"marginal has {len(probs)} entries, domain has {n}")
+    else:
+        if any(p <= 0 for p in probs):
+            violations.append("marginal must be strictly positive on every point")
+        total = sum(probs, Fraction(0))
+        if total != 1:
+            violations.append(f"marginal mass is {total}, not 1")
+    for name, vec in (("p_star", inst.ground_truth), ("f", inst.audited)):
+        if vec.n != n:
+            violations.append(f"{name} has {vec.n} entries, domain has {n}")
+        elif any(v < 0 or v > 1 for v in vec.values):
+            violations.append(f"{name} has entries outside [0, 1]")
+    for g in inst.groups:
+        if g.members[-1] >= n:
+            violations.append(f"group {g.members} references points outside the domain")
+    return violations

@@ -1,8 +1,11 @@
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
+
+import fraction_checks as oracle
 
 from mcalaudit import (
     FiniteDomain,
@@ -22,6 +25,7 @@ from mcalaudit import (
     validate,
 )
 from mcalaudit.core import _int_numerators, to_decimal
+from mcalaudit.instances import gen_random
 
 
 def test_rat_accepts_ints_strings_fractions():
@@ -147,6 +151,39 @@ def test_validate_flags_bad_marginal_and_range():
     assert not r2.valid and any("outside" in v for v in r2.violations)
 
 
+def test_validate_words_every_violation_as_the_fraction_checks_do():
+    rng = random.Random(31)
+    mutations = {
+        "marginal": lambda ms: [-ms[0], *ms[1:]] if rng.random() < 0.5 else [Fraction(0), *ms[1:]],
+        "mass": lambda ms: [ms[0] * rng.choice((Fraction(1, 2), Fraction(3), Fraction(9, 10))), *ms[1:]],
+        "bound": lambda vs: [rng.choice((Fraction(-1, 7), Fraction(11, 10), Fraction(2))), *vs[1:]],
+        "edge": lambda vs: [Fraction(0), Fraction(1), *vs[2:]],
+        "short": lambda vs: vs[1:],
+    }
+    seen = []
+    for s in range(200):
+        inst = gen_random(2 + s % 6, 1 + s % 2, seed=s)
+        ms, ps, fs = list(inst.marginal.probs), list(inst.ground_truth.values), list(inst.audited.values)
+        for _ in range(rng.randrange(1, 4)):
+            which = rng.choice(("marginal", "mass", "bound", "edge", "short", "group"))
+            if which in ("marginal", "mass"):
+                ms = mutations[which](ms)
+            elif which == "group":  # a point past the domain, in a group of its own
+                extra = (inst.n + rng.randrange(3),)
+                if all(g.members != extra for g in inst.groups):
+                    inst = inst.with_groups(SubgroupCollection([*inst.groups, extra]))
+            else:
+                target = rng.choice((ps, fs, ms))
+                target[:] = mutations[which](target)
+        bad = Instance(inst.domain, Marginal(ms), PredictorVec(ps), inst.groups, PredictorVec(fs))
+        expected = oracle.validate_messages(bad)
+        assert list(validate(bad).violations) == expected
+        assert validate(bad).valid == (not expected)
+        seen.extend(expected)
+    kinds = ("marginal mass is", "strictly positive", "entries outside", "entries, domain has", "outside the domain")
+    assert all(sum(kind in v for v in seen) >= 20 for kind in kinds)
+
+
 def test_a_valid_instance_need_not_cover():
     inst = _toy_instance()
     assert validate(inst).valid and inst.groups.covers(inst.n)
@@ -190,3 +227,8 @@ def test_with_values_and_restrict():
     w = v.with_values({1: Fraction(1, 8)})
     assert w.values == (Fraction(1, 2), Fraction(1, 8), Fraction(3, 4))
     assert v.values[1] == Fraction(1, 4)  # original untouched
+    # updates are read as rationals, as the constructor reads its values
+    assert v.with_values({0: "1/3", 2: 1}) == PredictorVec(["1/3", "1/4", "1"])
+    assert all(type(x) is Fraction for x in v.with_values({2: 1}).values)
+    with pytest.raises(TypeError):
+        v.with_values({0: 0.5})

@@ -482,6 +482,13 @@ def test_matches_oracle_on_hypothesis_lps(problem):
     _check(problem)
 
 
+def test_an_lp_without_constraint_rows():
+    # phase 1 has no artificial to price out; phase 2 takes each variable
+    # to the bound its cost prefers
+    problem = LPProblem((F(1), F(-1)), (), (F(1), F(2)))
+    assert _check(problem) == LPSolution("optimal", F(-2), (F(0), F(2)))
+
+
 def test_negative_drive_out_pivot():
     # -x - y = 0 keeps its artificial basic at 0 through phase 1 (no entry
     # of the row is positive, and an artificial has no bound to rise to),
