@@ -5,6 +5,12 @@ Output is JSON by default; `--pretty` switches to a human-readable table.
 Exact rationals appear as "num/den" strings together with 30-significant-
 digit decimal renderings (round-half-even; the decimals are views only).
 
+Each `cmd_*` returns its report and exit code; the report is a dict, written
+as `json.dumps(report, indent=2)` writes it, or finished text (a `--pretty`
+table, `--csv` rows, a generated instance).  `main` alone writes the report,
+after the work, to `-o` or to stdout, whatever its format, and alone maps a
+command's `BudgetExceeded` to exit 3 and its other `ValueError` to exit 2.
+
 Exit codes: 0 success, 1 acceptance failure, 2 usage or input error, 3
 budget refusal.  The environment variable MCAL_AUDIT_BUDGET overrides the
 budget of the multicalibration join in `audit`, `enumerate` and `landscape`.
@@ -15,8 +21,8 @@ Arguments are read by one prebuilt `argparse` parser, built from the table
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import os
 import sys
 import time
@@ -73,14 +79,9 @@ POINTS_CEILING = 10_000
 GRID_CEILING = 10**6
 
 
-def _echo(message: str, err: bool = False) -> None:
-    """Write one line to the current sys.stdout, or sys.stderr."""
-    (sys.stderr if err else sys.stdout).write(message + "\n")
-
-
 def _fail(message: str, code: int = EXIT_INPUT) -> NoReturn:
     """Write `error: message` to stderr and exit with `code`."""
-    _echo(f"error: {message}", err=True)
+    sys.stderr.write(f"error: {message}\n")
     sys.exit(code)
 
 
@@ -97,10 +98,11 @@ def _budget() -> int:
     return value
 
 
-def _create(path: str, **kwargs):
-    """`open(path, "w")`; a path that cannot be written is an input error."""
+def _create(path: str):
+    """`open(path, "w", newline="")`, which writes line ends as they are (CSV
+    rows keep their CR LF); a path that cannot be written is an input error."""
     try:
-        return open(path, "w", **kwargs)
+        return open(path, "w", newline="")
     except OSError as e:
         _fail(f"cannot write {_brief(path)}: {e.strerror}")
 
@@ -169,19 +171,6 @@ def _write_json(x, indent: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, output: Optional[str]):
-    """Write the report as `json.dumps(payload, indent=2)` would, byte for
-    byte, through `_write_json`."""
-    chunks: list[str] = []
-    _write_json(payload, "", chunks)
-    text = "".join(chunks)
-    if output:
-        with _create(output) as fh:
-            fh.write(text + "\n")
-    else:
-        _echo(text)
-
-
 def _parse_rat(value: str, name: str) -> Fraction:
     try:
         return rat(value)
@@ -195,18 +184,12 @@ def _group_by_index(inst: Instance, index: int) -> Subgroup:
     return inst.groups[index]
 
 
-# ---------------------------------------------------------------------------
-# audit
-# ---------------------------------------------------------------------------
-
-
-def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
+def cmd_audit(instance, metrics, degree, dump_lp, pretty):
     """Compute distance metrics and membership flags for an instance."""
     inst = _load(instance)
-    if metrics is None:
-        requested = list(METRICS)
-    else:
-        requested = [m.strip() for m in metrics.split(",") if m.strip()]
+    # in the order given, each metric once
+    names = METRICS if metrics is None else metrics.split(",")
+    requested = list(dict.fromkeys(m.strip() for m in names if m.strip()))
     for m in requested:
         if m not in METRICS:
             _fail(f"unknown metric {_brief(m)}")
@@ -220,8 +203,6 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
             r = compute(inst, budget)
         except BudgetExceeded as e:
             entry = {"refused": str(e)}
-        except ValueError as e:
-            _fail(str(e))
         else:
             value, witness = r
             if target is None:
@@ -251,61 +232,46 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty, output):
         with _create(dump_lp) as fh:
             fh.write(_dma_problem(inst).to_json() + "\n")
 
-    if pretty:
-        for m in requested:
-            entry = report["metrics"][m]
-            if "refused" in entry:
-                _echo(f"{m:6s}  REFUSED  {entry['refused']}")
-            else:
-                v = entry["value"]
-                _echo(f"{m:6s}  {v['rational']:>14s}  = {v['decimal']}")
-        mm = report["membership"]
-        _echo(f"multicalibrated: {mm['multicalibrated']}  multiaccurate: {mm['multiaccurate']}")
-    else:
-        _emit(report, output)
-    sys.exit(EXIT_OK)
+    if not pretty:
+        return report, EXIT_OK
+    lines = []
+    for m, entry in report["metrics"].items():
+        if "refused" in entry:
+            lines.append(f"{m:6s}  REFUSED  {entry['refused']}\n")
+        else:
+            v = entry["value"]
+            lines.append(f"{m:6s}  {v['rational']:>14s}  = {v['decimal']}\n")
+    mm = report["membership"]
+    lines.append(f"multicalibrated: {mm['multicalibrated']}  multiaccurate: {mm['multiaccurate']}\n")
+    return "".join(lines), EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# enumerate
-# ---------------------------------------------------------------------------
-
-
-def cmd_enumerate(instance, which, group, pretty, output):
+def cmd_enumerate(instance, which, group, pretty):
     """List the calibrated set of one group, or the multicalibrated set.
 
     Multicalibrated entries use null for coordinates no group constrains.
     """
     inst = _load(instance)
-    try:
-        if which == "cal":
-            if group is None:
-                _fail("--set cal requires --group")
-            S = _group_by_index(inst, group)
-            cs = calibrated_set(inst, S)
-            rows = [[_rat_str(v) for v in cand] for cand in cs]
-            payload = {"set": "cal", "group": list(S.members), "count": len(rows), "predictors": rows}
-        else:
-            mc = multicalibrated_set(inst, budget=_budget())
-            rows = [[None if v is None else _rat_str(v) for v in cand] for cand in mc]
-            payload = {"set": "mcal", "count": len(rows), "predictors": rows}
-    except BudgetExceeded as e:
-        _fail(f"budget refusal: {e}", EXIT_BUDGET)
-    if pretty:
-        _echo(f"{payload['count']} predictors")
-        for row in payload["predictors"]:
-            _echo("  (" + ", ".join("free" if v is None else v for v in row) + ")")
+    if which == "cal":
+        if group is None:
+            _fail("--set cal requires --group")
+        S = _group_by_index(inst, group)
+        cs = calibrated_set(inst, S)
+        rows = [[_rat_str(v) for v in cand] for cand in cs]
+        payload = {"set": "cal", "group": list(S.members), "count": len(rows), "predictors": rows}
     else:
-        _emit(payload, output)
-    sys.exit(EXIT_OK)
+        if group is not None:
+            _fail("--set mcal takes no --group")
+        mc = multicalibrated_set(inst, budget=_budget())
+        rows = [[None if v is None else _rat_str(v) for v in cand] for cand in mc]
+        payload = {"set": "mcal", "count": len(rows), "predictors": rows}
+    if not pretty:
+        return payload, EXIT_OK
+    table = "".join("  (" + ", ".join("free" if v is None else v for v in row) + ")\n" for row in rows)
+    return f"{len(rows)} predictors\n{table}", EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# estimate
-# ---------------------------------------------------------------------------
-
-
-def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, output):
+def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv):
     """Sampling-based interval estimates; deterministic given the seed."""
     inst = _load(instance)
     eps_r = _parse_rat(eps, "--eps")
@@ -316,15 +282,14 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
         S = _group_by_index(inst, group)
         runner = lambda s: dce_interval(inst, S, eps_r, delta_r, seed=s)
     else:
+        if group is not None:
+            _fail("--metric dimc takes no --group")
         runner = lambda s: dimc_interval(inst, eps_r, delta_r, seed=s)
 
     runs = []
     for t in range(trials):
         s = seed + t
-        try:
-            est = runner(s)
-        except ValueError as e:
-            _fail(str(e))
+        est = runner(s)
         runs.append(
             {
                 "seed": s,
@@ -336,77 +301,50 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv, outp
             }
         )
 
-    if as_csv:
-        with _create(output, newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "point", "lower", "upper", "samples_used"])
-            for r in runs:
-                writer.writerow(
-                    [r["seed"], r["point"]["decimal"], r["lower"]["decimal"], r["upper"], r["samples_used"]]
-                )
-    else:
-        _emit({"metric": metric, "runs": runs}, output)
-    sys.exit(EXIT_OK)
+    if not as_csv:
+        return {"metric": metric, "runs": runs}, EXIT_OK
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["seed", "point", "lower", "upper", "samples_used"])
+    for r in runs:
+        writer.writerow([r["seed"], r["point"]["decimal"], r["lower"]["decimal"], r["upper"], r["samples_used"]])
+    return text.getvalue(), EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# generate
-# ---------------------------------------------------------------------------
-
-
-def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points, n_groups, seed, grid, output):
+def cmd_generate(family, alpha, eps, delta, k, blocks, target, variant, n_points, n_groups, seed, grid):
     """Write a named instance as JSON."""
-    try:
-        if family == "three-point":
-            inst = gen_three_point(_parse_rat(alpha, "--alpha"))
-        elif family == "wdmc-local-min":
-            inst = gen_wdmc_local_min(_parse_rat(eps, "--eps"), _parse_rat(delta, "--delta"))
-        elif family == "ring":
-            inst = gen_ring(blocks)
-        elif family == "hypercube":
-            base, with_target = gen_hypercube(k)
-            if target is None:
-                inst = base
-            else:
-                try:
-                    members = [int(t) for t in target.split(",")]
-                except ValueError:
-                    _fail(f"bad --target: {_brief(target)} is not a comma-separated list of integers")
-                inst = with_target(members)
-        elif family == "cdmc":
-            inst = gen_cdmc_example()
-        elif family == "fibonacci":
-            inst = gen_fibonacci(k, _parse_rat(eps, "--eps"))
-        elif family == "dcma":
-            before, after = gen_dcma_example(_parse_rat(eps, "--eps"))
-            inst = before if variant == "before" else after
+    if family == "three-point":
+        inst = gen_three_point(_parse_rat(alpha, "--alpha"))
+    elif family == "wdmc-local-min":
+        inst = gen_wdmc_local_min(_parse_rat(eps, "--eps"), _parse_rat(delta, "--delta"))
+    elif family == "ring":
+        inst = gen_ring(blocks)
+    elif family == "hypercube":
+        base, with_target = gen_hypercube(k)
+        if target is None:
+            inst = base
         else:
-            inst = gen_random(n_points, n_groups, seed=seed, grid_denominator=grid)
-    except ValueError as e:
-        _fail(str(e))
-    text = dump_instance(inst)
-    if output:
-        with _create(output) as fh:
-            fh.write(text + "\n")
+            try:
+                members = [int(t) for t in target.split(",")]
+            except ValueError:
+                _fail(f"bad --target: {_brief(target)} is not a comma-separated list of integers")
+            inst = with_target(members)
+    elif family == "cdmc":
+        inst = gen_cdmc_example()
+    elif family == "fibonacci":
+        inst = gen_fibonacci(k, _parse_rat(eps, "--eps"))
+    elif family == "dcma":
+        before, after = gen_dcma_example(_parse_rat(eps, "--eps"))
+        inst = before if variant == "before" else after
     else:
-        _echo(text)
-    sys.exit(EXIT_OK)
+        inst = gen_random(n_points, n_groups, seed=seed, grid_denominator=grid)
+    return dump_instance(inst) + "\n", EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# landscape
-# ---------------------------------------------------------------------------
-
-
-def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
+def cmd_landscape(instance, metric, radius, trials, seed, pretty):
     """Probe a metric's landscape around the audited predictor."""
     inst = _load(instance)
-    try:
-        probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed, _budget())
-    except BudgetExceeded as e:
-        _fail(f"budget refusal: {e}", EXIT_BUDGET)
-    except ValueError as e:
-        _fail(str(e))
+    probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed, _budget())
     payload = {
         "metric": probe.metric,
         "baseline": _rat_json(probe.baseline),
@@ -416,50 +354,34 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty, output):
     }
     if probe.best_point is not None:
         payload["best_point"] = [_rat_json(v) for v in probe.best_point.values]
-    if pretty:
-        _echo(
-            f"{probe.metric}: baseline {payload['baseline']['rational']}, "
-            f"best {payload['best_value']['rational']}, decreased: {probe.decreased}"
-        )
-    else:
-        _emit(payload, output)
-    sys.exit(EXIT_OK)
+    if not pretty:
+        return payload, EXIT_OK
+    return (
+        f"{probe.metric}: baseline {payload['baseline']['rational']}, "
+        f"best {payload['best_value']['rational']}, decreased: {probe.decreased}\n"
+    ), EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-def cmd_verify(suite, pretty, output):
+def cmd_verify(suite, pretty):
     """Run the acceptance suite; exit 1 if any criterion fails."""
     results = run_suite()
     all_ok = all(r.ok for r in results)
+    code = EXIT_OK if all_ok else EXIT_FAIL
     if pretty:
-        for r in results:
-            status = "PASS" if r.ok else "FAIL"
-            _echo(f"{status}  {r.slug:40s} {r.elapsed:8.2f}s  {r.detail}")
-        _echo(f"{'all criteria pass' if all_ok else 'FAILURES PRESENT'}")
-    else:
-        _emit(
-            {
-                "suite": suite,
-                "passed": all_ok,
-                "criteria": [
-                    {
-                        "slug": r.slug,
-                        "passed": r.passed,
-                        "within_budget": r.within_budget,
-                        "elapsed_seconds": round(r.elapsed, 3),
-                        "limit_seconds": r.limit_seconds,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-            },
-            output,
-        )
-    sys.exit(EXIT_OK if all_ok else EXIT_FAIL)
+        lines = [f"{'PASS' if r.ok else 'FAIL'}  {r.slug:40s} {r.elapsed:8.2f}s  {r.detail}\n" for r in results]
+        return "".join(lines) + ("all criteria pass\n" if all_ok else "FAILURES PRESENT\n"), code
+    criteria = [
+        {
+            "slug": r.slug,
+            "passed": r.passed,
+            "within_budget": r.within_budget,
+            "elapsed_seconds": round(r.elapsed, 3),
+            "limit_seconds": r.limit_seconds,
+            "detail": r.detail,
+        }
+        for r in results
+    ]
+    return {"suite": suite, "passed": all_ok, "criteria": criteria}, code
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +469,7 @@ COMMANDS = {
         (
             _INSTANCE,
             _opt("--metric", choices=("dce", "dimc"), required=True),
-            _opt("--group", type=int, help="Group index (required for dce)."),
+            _opt("--group", type=int, help="Group index (dce only, and required there)."),
             _opt("--eps", default="1/50", help="Interval half-width parameter (rational; default: 1/50)."),
             _opt("--delta", default="1/20", help="Failure probability (rational; default: 1/20)."),
             _SEED,
@@ -649,8 +571,9 @@ _PARSER = _build_parser("mcalaudit")
 
 
 def main(args=None, prog_name: Optional[str] = None) -> NoReturn:
-    """Run `mcalaudit <args>` (by default sys.argv[1:]) and exit with its
-    code.  `prog_name` names the program in usage messages."""
+    """Run `mcalaudit <args>` (by default sys.argv[1:]), write the command's
+    report to `-o` or stdout, and exit with its code.  `prog_name` names the
+    program in usage messages."""
     argv = sys.argv[1:] if args is None else list(args)
     parser = _PARSER if prog_name in (None, _PARSER.prog) else _build_parser(prog_name)
     if not argv:
@@ -662,7 +585,24 @@ def main(args=None, prog_name: Optional[str] = None) -> NoReturn:
     if extra:
         _fail(f"unrecognized arguments: {_brief(' '.join(extra))} (see '{parser.prog} {argv[0]} --help')")
     options = vars(parsed)
-    COMMANDS[options.pop("command")][0](**options)
+    output = options.pop("output")
+    try:
+        report, code = COMMANDS[options.pop("command")][0](**options)
+    except BudgetExceeded as e:
+        _fail(f"budget refusal: {e}", EXIT_BUDGET)
+    except ValueError as e:
+        _fail(str(e))
+    if isinstance(report, dict):
+        chunks: list[str] = []
+        _write_json(report, "", chunks)
+        chunks.append("\n")
+        report = "".join(chunks)
+    if output:
+        with _create(output) as fh:
+            fh.write(report)
+    else:
+        sys.stdout.write(report)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

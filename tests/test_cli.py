@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import re
 import time
 import weakref
 from fractions import Fraction
@@ -731,3 +732,107 @@ print("ok")
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout == "ok\n"
+
+
+def test_audit_computes_and_reports_a_repeated_metric_once(tmp_path, monkeypatch):
+    import mcalaudit.distances
+
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    calls = []
+    real = mcalaudit.distances.dmc
+    monkeypatch.setattr(mcalaudit.distances, "dmc", lambda *a, **k: calls.append(1) or real(*a, **k))
+    r = _run(["audit", str(p), "--metrics", "dmc,dmc,wdmc,dmc", "--pretty"])
+    assert r.exit_code == 0, r.output
+    assert [line.split()[0] for line in r.stdout.splitlines()] == ["dmc", "wdmc", "multicalibrated:"]
+    assert len(calls) == 1
+    report = json.loads(_run(["audit", str(p), "--metrics", "wdmc,dmc,wdmc"]).stdout)
+    assert list(report["metrics"]) == list(report["timing_seconds"]) == ["wdmc", "dmc"]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["enumerate", "TP", "--set", "mcal", "--group", "7"], "error: --set mcal takes no --group\n"),
+        (["enumerate", "TP", "--group", "0"], "error: --set mcal takes no --group\n"),
+        (["estimate", "TP", "--metric", "dimc", "--group", "3"], "error: --metric dimc takes no --group\n"),
+        (["estimate", "TP", "--metric", "dimc", "--group", "0"], "error: --metric dimc takes no --group\n"),
+    ],
+    ids=["enumerate-out-of-range", "enumerate-in-range", "estimate-out-of-range", "estimate-in-range"],
+)
+def test_a_group_the_command_would_ignore_is_refused(tmp_path, args, message):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    r = _run([str(p) if a == "TP" else a for a in args])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == "" and r.stderr == message
+
+
+def _stub_suite(monkeypatch):
+    """Replace the acceptance suite by one passing and one failing result."""
+    import mcalaudit.cli as cli
+    from mcalaudit.verify import CriterionResult
+
+    results = [
+        CriterionResult("stub-pass", True, "fine", 0.5, 10.0),
+        CriterionResult("stub-fail", False, "off", 0.2, 10.0),
+    ]
+    monkeypatch.setattr(cli, "run_suite", lambda: results)
+
+
+@pytest.mark.parametrize(
+    "args,first_line,code",
+    [
+        (["audit", "TP", "--metrics", "dmc,dimc"], "dmc                0/1  = 0", 0),
+        (["enumerate", "TP"], "2 predictors", 0),
+        (["landscape", "TP", "--metric", "wdma", "--trials", "2"], "wdma: baseline 0/1, best 0/1, decreased: False", 0),
+        (["verify"], "PASS  stub-pass", 1),
+    ],
+    ids=["audit", "enumerate", "landscape", "verify"],
+)
+def test_pretty_output_goes_to_the_output_file(tmp_path, monkeypatch, args, first_line, code):
+    _stub_suite(monkeypatch)
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    out = tmp_path / "out.txt"
+    r = _run([str(p) if a == "TP" else a for a in args] + ["--pretty", "-o", str(out)])
+    assert r.exit_code == code, r.output
+    assert r.output == ""
+    assert out.read_text().startswith(first_line)
+    assert out.read_text() == _run([str(p) if a == "TP" else a for a in args] + ["--pretty"]).stdout
+
+
+_TIMES = re.compile(r'("(?:wdmc|dmc|dimc|wdma|dma|dcma|elapsed_seconds)": )[0-9.e-]+|\d+\.\d\ds  ')
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["audit", "TP"],
+        ["audit", "TP", "--metrics", "dma,dmc", "--pretty"],
+        ["enumerate", "TP"],
+        ["enumerate", "TP", "--set", "cal", "--group", "0", "--pretty"],
+        ["estimate", "TP", "--metric", "dimc", "--eps", "1/10", "--delta", "1/10"],
+        ["estimate", "TP", "--metric", "dce", "--group", "1", "--eps", "1/10", "--trials", "2", "--csv"],
+        ["generate", "--family", "ring", "--blocks", "2"],
+        ["generate", "--family", "random", "--n", "6", "--groups", "2", "--seed", "3"],
+        ["landscape", "TP", "--metric", "wdmc", "--trials", "3"],
+        ["landscape", "TP", "--metric", "dimc", "--trials", "3", "--pretty"],
+        ["verify"],
+        ["verify", "--pretty"],
+    ],
+    ids=lambda args: "-".join(a.lstrip("-") for a in args if a != "TP")[:40],
+)
+def test_the_output_file_holds_the_bytes_stdout_would_get(tmp_path, monkeypatch, args):
+    _stub_suite(monkeypatch)
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    argv = [str(p) if a == "TP" else a for a in args]
+    out = tmp_path / "out"
+    printed = _run(argv)
+    written = _run(argv + ["-o", str(out)])
+    assert printed.exit_code == written.exit_code and printed.stderr == written.stderr == ""
+    assert written.stdout == "" and printed.stdout.endswith("\n")
+    assert _TIMES.sub(r"\1", out.read_bytes().decode()) == _TIMES.sub(r"\1", printed.stdout)
+    if "--csv" in args:
+        assert out.read_bytes().count(b"\r\n") == 3 and b"\n" not in out.read_bytes().replace(b"\r\n", b"")
