@@ -190,6 +190,8 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty):
     # in the order given, each metric once
     names = METRICS if metrics is None else metrics.split(",")
     requested = list(dict.fromkeys(m.strip() for m in names if m.strip()))
+    if not requested:
+        _fail(f"--metrics names no metric (choose from {','.join(METRICS)})")
     for m in requested:
         if m not in METRICS:
             _fail(f"unknown metric {_brief(m)}")

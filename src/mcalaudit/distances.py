@@ -18,8 +18,10 @@ of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
 listing the calibrated set (`_PartitionScores`).  dcma builds the same
 tables on the whole domain and runs a branch and bound over partitions,
 bounded below by the DP and pruned against the best unbiased partition
-found so far.  dmc lists no multicalibrated set: a branch and bound joins
-the per-group calibrated sets, each candidate scored once in integers.
+found so far.  dmc lists no multicalibrated set, nor its largest group's
+calibrated set: a branch and bound over that group's partition scores,
+as dcma's, joins each of its partitions with the other groups'
+calibrated sets, each candidate scored once in integers.
 The class tables and partition scores of the instance's groups and of its
 whole domain are built once per instance (`enumeration._tables`), so the
 metrics of one audit share them: wdmc, dmc and dimc read a group's, dcma
@@ -45,6 +47,7 @@ from .core import (
     Subgroup,
     SubgroupCollection,
     WitnessError,
+    _cut,
     group_mass,
     l1_distance,
 )
@@ -94,17 +97,21 @@ class _PartitionScores:
     of disjoint classes add without a carry past W bits, so the least score
     is the cheapest partition and, among those, the one whose value vector
     is lexicographically smallest.  `cost[C]` is class C's score and
-    `best[R]` the least score of a partition of R (best[0] = 0), a lower
-    bound on the score of any partition of R.
+    `best[R]` the least score of a partition of R, a lower bound on the
+    score of any partition of R.  `best` is defined on the full set, on 0
+    (best[0] = 0) and on every R without position 0: the remainders that a
+    search from the full set reaches, its lowest member having been placed
+    first.  The other entries are 0.  `unit` = scale E L is the denominator
+    of a score's cost part, scale being the class tables'.
     """
 
     def __init__(self, inst: Instance, S: Subgroup):
         t = _tables(_ClassTables, inst, S)
-        f = inst.audited
-        fs = [f[x] for x in S.members]
+        f = inst.audited.values
+        fs = [f[x].as_integer_ratio() for x in S.members]
         full = (1 << t.k) - 1
-        E = lcm(*(v.denominator for v in fs))
-        weight = [t.mass[1 << j] * (E // v.denominator) for j, v in enumerate(fs)]
+        E = lcm(*(b for _, b in fs))
+        weight = [t.mass[1 << j] * (E // b) for j, (_, b) in enumerate(fs)]
         L = lcm(*t.mass[1:])
         W = t.width * t.k
         code = t.code
@@ -117,12 +124,13 @@ class _PartitionScores:
                 low = bits & -bits
                 bits ^= low
                 j = low.bit_length() - 1
-                total += weight[j] * abs(fs[j].numerator * mc - fs[j].denominator * nc)
+                a, b = fs[j]
+                total += weight[j] * abs(a * mc - b * nc)
             cost[C] = (total * (L // mc) << W) + code[C]
 
         # R's lowest member is in a class with some subset of the rest.
         best = [0] * (full + 1)
-        for R in range(1, full + 1):
+        for R in (*range(2, full, 2), full):
             low = R & -R
             rest = R ^ low
             b = cost[R]
@@ -137,10 +145,11 @@ class _PartitionScores:
         self.tables = t
         self.L = L
         self.W = W
+        self.unit = t.scale * E * L
         self.cost = cost
         self.best = best
         self._den = E * L * t.mass[full]
-        self._f = f
+        self._f = inst.audited
         self._members = S.members
 
     def result(self, score: int) -> DistanceResult:
@@ -181,24 +190,32 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     copies the audited predictor there; ties go to the lexicographically
     smallest witness.
 
-    A depth-first branch and bound over the per-group calibrated sets,
-    joined under agreement on overlaps.  With m(x)f(x) over one common
-    denominator `scale` and the candidate values over another, Q, each
-    candidate is scored once, as the integer sum of |m(x)f(x) - m(x)v(x)|
-    over the points it assigns first.  The group with the most candidates
-    is joined first, then each time the group with the most points already
-    joined (ties to the longer list); each later group's candidates sit in
-    buckets keyed by their values on those points, sorted by score, so a
-    node looks up the one bucket that agrees with it.  Scores and keys are
-    computed column by column, one table lookup per value.  A branch is
-    pruned once its score plus the least score of every later group
-    exceeds the best complete score, at first the ground truth's; equal
-    scores go on, so that among the nearest members the smallest wins.
-    The Bell-product budget is checked first, as for `multicalibrated_set`.
+    A depth-first branch and bound that joins the groups under agreement on
+    overlaps.  Each assignment is scored once, as the integer sum of
+    m(x)|f(x) - v(x)| over the points it fixes first.  The largest group
+    (the first of them) is searched first, as dcma searches the domain and
+    without listing its calibrated set: over its partition scores, its
+    lowest unplaced member joining each subset of the rest to form the next
+    class C, tried in increasing order of score + cost[C] + best[R ^ C].  A
+    state (remainder, value key so far) is expanded once: equal keys are
+    equal values, so equal scores and the same subtree.  Each of its
+    partitions is then joined with the other groups' calibrated sets, each
+    time the group with the most points already joined (ties to the longer
+    list).  Their candidates sit in buckets keyed by their values on those
+    points, sorted by score, so a node looks up the one bucket that agrees
+    with it; scores and keys are computed column by column, one table
+    lookup per value.  Values are put over one denominator Q, a multiple of
+    the first group's L, and the first group's costs and the others' over
+    the lcm of their units.  A branch is pruned once its bound plus the
+    least score of every later group exceeds the best complete score, at
+    first the ground truth's; equal scores go on, so that among the nearest
+    members the smallest wins.  The Bell-product budget is checked first,
+    as for `multicalibrated_set`.
     """
     _check_bell_product(inst, budget)
     n = inst.n
     m, f = inst.marginal, inst.audited
+    head = max(inst.groups, key=len)
     # calibrated_set decodes every value from one short table of class
     # means, so a group's candidates share a few Fraction objects.  They
     # are read column by column, by identity (`objects` holds each one, so
@@ -206,17 +223,24 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     cal = []
     objects: dict[int, Fraction] = {}
     for S in inst.groups:
+        if S is head:
+            first = _tables(_PartitionScores, inst, S)
+            continue
         cands = calibrated_set(inst, S)
         columns = list(zip(*cands))
         ids = [list(map(id, column)) for column in columns]
         for column, column_ids in zip(columns, ids):
             objects.update(zip(column_ids, column))
         cal.append((S.members, cands, ids))
-    Q = lcm(*{v.denominator for v in objects.values()})
+    Q = lcm(first.L, *{v.denominator for v in objects.values()})
     over_q = {i: v.numerator * (Q // v.denominator) for i, v in objects.items()}
-    # scale clears every m(x) and m(x)f(x), so both divisions are exact
+    # scale clears every m(x) and m(x)f(x), so both divisions are exact;
+    # the later groups' costs are over scale Q, the first group's over its
+    # own unit, and both are put over their lcm
     scale = lcm(*(m[x].denominator * f[x].denominator for x in range(n)))
-    M = [m[x].numerator * (scale // m[x].denominator) for x in range(n)]
+    unit = lcm(first.unit, scale * Q)
+    to_unit = unit // (scale * Q)
+    M = [m[x].numerator * (scale // m[x].denominator) * to_unit for x in range(n)]
     fq = [M[x] * f[x].numerator // f[x].denominator * Q for x in range(n)]
     cost = [{i: abs(fq[x] - M[x] * v) for i, v in over_q.items()} for x in range(n)]
     zero = dict.fromkeys(over_q, 0)
@@ -225,7 +249,7 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     # their positions, candidates, buckets of (score, candidate index))
     levels = []
     least = []  # least[i]: the least score of a candidate of level i
-    covered: set[int] = set()
+    covered = set(head.members)
     while cal:
         members, cands, ids = cal.pop(
             max(range(len(cal)), key=lambda i: (len(covered.intersection(cal[i][0])), len(cal[i][1])))
@@ -244,7 +268,7 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
         fresh = [(j, x) for j, x in enumerate(members) if x not in covered]
         levels.append((tuple(members[j] for j in shared), fresh, cands, buckets))
         covered.update(members)
-    floor = [sum(least[i:]) for i in range(1, len(levels) + 1)]  # floor[i]: levels after i
+    floor = [sum(least[i:]) for i in range(len(levels) + 1)]  # floor[i]: levels from i on
 
     # The ground truth is multicalibrated (every group's all-singleton
     # candidate), so it is the first incumbent.
@@ -263,7 +287,7 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
         bucket = buckets.get(tuple([assign[x] for x in shared]))
         if bucket is None:
             return
-        rest = floor[i]
+        rest = floor[i + 1]
         for added, c in bucket:
             total = score + added
             if total + rest > top:
@@ -273,9 +297,55 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
                 assign[x] = over_q[id(cand[j])]
             search(i + 1, total)
 
-    search(0, 0)
+    t, W, to_first = first.tables, first.W, unit // first.unit
+    k, width, code, mass, num, points = t.k, t.width, t.code, t.mass, t.num, head.members
+    costs = [(c >> W) * to_first for c in first.cost]
+    bests = [(c >> W) * to_first for c in first.best]
+    later = floor[0]
+    digit = (1 << width) - 1
+    means: dict[int, int] = {}  # rank -> that class mean over Q
+    seen: set[int] = set()  # expanded states, as value key << k | remainder
+
+    def split(R: int, score: int, key: int):
+        low = R & -R
+        rest = R ^ low
+        children = []
+        sub = rest
+        while True:
+            C = sub | low
+            bound = score + costs[C] + bests[R ^ C]
+            if bound + later <= top:
+                children.append((bound, C))
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        children.sort()
+        for bound, C in children:
+            if bound + later > top:
+                return
+            after = key + code[C]
+            state = (after << k) | (R ^ C)
+            if state in seen:
+                continue
+            seen.add(state)
+            # the digit of C's last position holds the rank of its mean
+            r = (code[C] >> width * (k - C.bit_length())) & digit
+            v = means.get(r)
+            if v is None:
+                v = means[r] = num[C] * (Q // mass[C])
+            bits = C
+            while bits:
+                j = bits & -bits
+                bits ^= j
+                assign[points[j.bit_length() - 1]] = v
+            if C != R:
+                split(R ^ C, score + costs[C], after)
+            else:
+                search(0, bound)
+
+    split((1 << k) - 1, 0, 0)
     witness = PredictorVec([f[x] if v is None else Fraction(v, Q) for x, v in enumerate(best)])
-    return DistanceResult(Fraction(top, scale * Q), witness)
+    return DistanceResult(Fraction(top, unit), witness)
 
 
 def intersection_closure(C: SubgroupCollection) -> SubgroupCollection:
@@ -522,10 +592,13 @@ def local_min_probe(
     rescaled; the result is clipped to [0,1]^X, which stays inside the
     ball), evaluates the metric exactly at each perturbed predictor, and
     reports the best observed value.  Deterministic given the seed.
-    `budget` is dmc's Bell-product budget.
+    `budget` is dmc's Bell-product budget.  A radius of 0 or below is
+    refused with `ValueError`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if radius <= 0:
+        raise ValueError(f"radius must be > 0, got {_cut(str(radius))}")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     compute = METRICS[metric][0]

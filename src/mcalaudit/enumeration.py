@@ -18,10 +18,11 @@ built only per distinct mean that a caller decodes).
 `calibrated_set` streams partitions as tuples of class masks and
 deduplicates candidates as integer keys built from the ranks of the class
 means; its callers are `enumerate --set cal`, the multicalibration join
-below (`enumerate --set mcal`) and `distances.dmc`, which takes each
-group's candidates from it.  `distances.dce` runs an O(3^k) subset DP over
-the same tables, and `distances.dcma` a branch and bound bounded by that
-DP, with no partition stream.  All refuse k > PARTITION_CEILING before
+below (`enumerate --set mcal`) and `distances.dmc`, which takes from it
+the candidates of every group but its largest.  `distances.dce` runs an
+O(3^k) subset DP over the same tables, and `distances.dcma` and dmc's
+largest group a branch and bound bounded by that DP, with no partition
+stream.  All refuse k > PARTITION_CEILING before
 they build a table.  Each takes its tables through `_tables`, which keeps
 the tables of the instance's groups and of its whole domain on the
 instance, so that one audit builds them once for all its metrics.
@@ -111,8 +112,9 @@ class _ClassTables:
 
     A class C is a bitmask over member positions: bit j stands for
     S.members[j].  With scale the lcm of the denominators of m(x) and
-    m(x)p*(x) on S, `mass[C]` and `num[C]` are the integers scale*m(C) and
-    scale*sum_{x in C} m(x)p*(x), so the class mean is num[C]/mass[C].
+    m(x)p*(x) on S (kept as `scale`), `mass[C]` and `num[C]` are the
+    integers scale*m(C) and scale*sum_{x in C} m(x)p*(x), so the class mean
+    is num[C]/mass[C].
 
     The class means are ranked without building them, by the integer floor
     key num[C]*K // mass[C] with K = mass[full]**2.  Two distinct means
@@ -170,6 +172,7 @@ class _ClassTables:
             spread[C] = spread[C ^ low] + (1 << width * (k - low.bit_length()))
             code[C] = rank[floor[C]] * spread[C]
         self.k = k
+        self.scale = scale
         self.mass = mass
         self.num = num
         self.width = width

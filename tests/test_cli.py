@@ -750,6 +750,24 @@ def test_audit_computes_and_reports_a_repeated_metric_once(tmp_path, monkeypatch
     assert list(report["metrics"]) == list(report["timing_seconds"]) == ["wdmc", "dmc"]
 
 
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_audit_refuses_a_metrics_list_that_names_no_metric(tmp_path, names):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("0"))
+    r = _run(["audit", str(p), "--metrics", names])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == "" and r.stderr == "error: --metrics names no metric (choose from wdmc,dmc,dimc,wdma,dma,dcma)\n"
+
+
+@pytest.mark.parametrize("radius", ["0", "-1", "-1/1000"])
+def test_landscape_refuses_a_radius_of_zero_or_below(tmp_path, radius):
+    p = tmp_path / "tp.json"
+    p.write_text(_tp_json("1/10"))
+    r = _run(["landscape", str(p), f"--radius={radius}", "--trials", "2"])
+    assert r.exit_code == 2, r.output
+    assert r.stdout == "" and r.stderr == f"error: radius must be > 0, got {Fraction(radius)}\n"
+
+
 @pytest.mark.parametrize(
     "args,message",
     [

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from mcalaudit.instances import (
     gen_three_point,
     gen_wdmc_local_min,
 )
-from test_cal_engine import _check_dcma
+from test_cal_engine import _check_dcma, _table_instance
 
 
 def test_dce_three_point():
@@ -183,6 +184,81 @@ def test_dmc_matches_the_oracle_with_uncovered_points():
     assert uncovered >= 20
 
 
+def _constant(n, groups):
+    """f = p* = 1/2 everywhere on n uniform points: every partition of
+    every group is a nearest member, so every branch ties."""
+    half = ["1/2"] * n
+    return instance_from_dict({"n": n, "marginal": [Fraction(1, n)] * n, "p_star": half, "groups": groups, "f": half})
+
+
+def _ring_like(sizes):
+    """gen_ring's shape over blocks of the given sizes: each pair of
+    neighbouring blocks on a cycle, and the whole domain."""
+    ends = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    blocks = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+    return [blocks[i] + blocks[(i + 1) % len(blocks)] for i in range(len(blocks))] + [list(range(ends[-1]))]
+
+
+def test_dmc_matches_the_oracle_when_every_branch_ties():
+    for n in (8, 10):
+        assert _check_dmc(_constant(n, [list(range(n))])) == 1
+    assert _check_dmc(_constant(8, _ring_like([2, 2, 2, 2])), budget=10**12) == 1
+    assert _check_dmc(_constant(10, _ring_like([3, 2, 3, 2])), budget=10**12) == 1
+    ring = gen_ring(2)
+    assert _check_dmc(ring.with_audited(ring.ground_truth), budget=10**9) == 1
+
+
+def test_dmc_on_a_constant_ten_point_group_stays_fast():
+    # Without its memo of expanded states, the search visits all
+    # Bell(10) = 115,975 partitions here; with it, at most 2^9 states.
+    inst = _constant(10, [list(range(10))])
+    start = time.perf_counter()
+    r = dmc(inst)
+    assert time.perf_counter() - start < 1.0
+    assert (r.value, r.witness) == (0, inst.audited)
+
+
+def test_dmc_matches_the_oracle_with_two_largest_groups_of_equal_size():
+    rng = random.Random(8)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(4, 7)
+        size = rng.randint(2, n - 1)
+        groups = {tuple(sorted(rng.sample(range(n), size))) for _ in range(2)}
+        if len(groups) < 2:
+            continue
+        groups.add(tuple(sorted(rng.sample(range(n), rng.randint(1, size - 1)))))
+        inst = gen_random(n, 1, seed=rng.randrange(2**32), grid_denominator=rng.choice([3, 20]))
+        inst = inst.with_groups(SubgroupCollection(rng.sample(sorted(groups), len(groups))))
+        _check_dmc(inst, budget=10**12)
+        checked += 1
+
+
+@st.composite
+def _dmc_instances(draw, max_k=6):
+    """Drawn as test_cal_engine's `_table_instances` (uniform, tie-heavy and
+    prime-denominator marginals), with one to three groups that may leave
+    points uncovered, and f the constant 1/2, a copy of p* or a grid draw."""
+    n = draw(st.integers(1, max_k))
+    kind = draw(st.sampled_from(["uniform", "ties", "primes"]))
+    inst = _table_instance(random.Random(draw(st.integers(0, 2**32))), n, kind)
+    members = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    groups = draw(st.lists(members, min_size=1, max_size=3, unique=True))
+    inst = inst.with_groups(SubgroupCollection(groups))
+    f = draw(st.sampled_from(["half", "p*", "grid"]))
+    if f == "p*":
+        inst = inst.with_audited(inst.ground_truth)
+    elif f == "grid":
+        inst = inst.with_audited(PredictorVec([Fraction(v, 6) for v in draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))]))
+    return inst
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_dmc_instances())
+def test_dmc_matches_the_oracle_on_generated_instances(inst):
+    _check_dmc(inst, budget=10**12)
+
+
 def test_dmc_lists_each_group_once_and_joins_no_set(monkeypatch):
     listed = []
     calibrated_set = mcalaudit.distances.calibrated_set
@@ -196,10 +272,19 @@ def test_dmc_lists_each_group_once_and_joins_no_set(monkeypatch):
 
     monkeypatch.setattr(mcalaudit.distances, "calibrated_set", spy)
     monkeypatch.setattr(mcalaudit.enumeration, "multicalibrated_set", joined)
-    for inst in (gen_ring(2), _seven_points(0, (2, 6)), gen_three_point(Fraction(1, 10))):
+    # two groups of three points, the largest: only the first is searched
+    tied = instance_from_dict(
+        {"n": 5, "marginal": ["1/5"] * 5, "p_star": ["0", "1/2", "1", "1/4", "3/4"],
+         "groups": [[0, 1], [1, 2, 3], [0, 3, 4]], "f": ["1/2"] * 5}
+    )
+    for inst in (gen_ring(2), _seven_points(0, (2, 6)), gen_three_point(Fraction(1, 10)), tied):
         listed.clear()
         dmc(inst, budget=10**9)
-        assert sorted(listed) == sorted(S.members for S in inst.groups)
+        # the largest group (the first of them) is searched over its
+        # partition scores and never listed; every other group is listed once
+        largest = max(inst.groups, key=len).members
+        assert sorted(listed) == sorted(S.members for S in inst.groups if S.members != largest)
+    assert listed == [(0, 1), (0, 3, 4)]
 
 
 def test_dmc_refuses_on_the_bell_product_as_the_join_does(monkeypatch):
@@ -352,6 +437,13 @@ def test_probe_unknown_metric():
     inst = gen_three_point(0)
     with pytest.raises(ValueError):
         local_min_probe("nope", inst, Fraction(1, 100), 10, 0)
+
+
+def test_probe_refuses_a_radius_of_zero_or_below():
+    inst = gen_three_point(Fraction(1, 10))
+    for radius in (Fraction(0), Fraction(-1), Fraction(-1, 1000)):
+        with pytest.raises(ValueError, match="radius must be > 0"):
+            local_min_probe("wdmc", inst, radius, 2, 0)
 
 
 def test_dce_conditional_lipschitz_in_ground_truth():
