@@ -210,6 +210,14 @@ class Subgroup:
             raise ValueError("subgroup indices must be non-negative")
         object.__setattr__(self, "members", ms)
 
+    @classmethod
+    def _of(cls, members: Iterable[int]) -> "Subgroup":
+        """A Subgroup of members that are already sorted, distinct and
+        non-negative ints, without checking them."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "members", tuple(members))
+        return group
+
     def __len__(self) -> int:
         return len(self.members)
 

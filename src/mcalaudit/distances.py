@@ -15,13 +15,17 @@ computable directly, the decomposition is.
 Cost: dce (and so wdmc per group and dimc per cell) is a min-cost set
 partition of the subgroup, solved by a subset DP over the per-class tables
 of `enumeration`: 2^k class costs, then O(3^k) integer steps, without
-listing the calibrated set (`_PartitionScores`).  dcma builds the same
-tables on the whole domain and runs a branch and bound over partitions,
-bounded below by the DP and pruned against the best unbiased partition
-found so far.  dmc lists no multicalibrated set, nor its largest group's
-calibrated set: a branch and bound over that group's partition scores,
-as dcma's, joins each of its partitions with the other groups'
-calibrated sets, each candidate scored once in integers.
+listing the calibrated set (`_PartitionScores`).  wdmc and dimc call no
+dce and build no per-subgroup witness: for a subgroup S, dce's value is
+the cost part of S's least score over E L mass[full], and mass[full] =
+scale m(S), so m(S) dce(S) is that cost over the tables' `unit` =
+scale E L, an integer ratio that wdmc compares and dimc sums.  dcma
+builds the same tables on the whole domain and runs a branch and bound
+over partitions, bounded below by the DP and pruned against the best
+unbiased partition found so far.  dmc lists no multicalibrated set, nor
+its largest group's calibrated set: a branch and bound over that group's
+partition scores, as dcma's, joins each of its partitions with the other
+groups' calibrated sets, each candidate scored once in integers.
 The class tables and partition scores of the instance's groups and of its
 whole domain are built once per instance (`enumeration._tables`), so the
 metrics of one audit share them: wdmc, dmc and dimc read a group's, dcma
@@ -152,11 +156,16 @@ class _PartitionScores:
         self._f = inst.audited
         self._members = S.members
 
+    def values(self, score: int) -> tuple[Fraction, ...]:
+        """The value vector, in member order, that a partition's score
+        carries in its low W bits."""
+        (values,) = self.tables.values([score & ((1 << self.W) - 1)])
+        return values
+
     def result(self, score: int) -> DistanceResult:
         """The conditional distance a partition's score stands for, and its
         witness: the global vector that agrees with f off S."""
-        (values,) = self.tables.values([score & ((1 << self.W) - 1)])
-        witness = self._f.with_values(dict(zip(self._members, values)))
+        witness = self._f.with_values(dict(zip(self._members, self.values(score))))
         return DistanceResult(value=Fraction(score >> self.W, self._den), witness=witness)
 
 
@@ -176,12 +185,22 @@ def dce(inst: Instance, S: Subgroup) -> DistanceResult:
 
 
 def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
-    """Worst group-mass-weighted conditional distance to calibration."""
-    # max returns the first of several maximal groups.
-    return max(
-        ((group_mass(inst.marginal, S) * dce(inst, S).value, S) for S in inst.groups),
-        key=lambda vs: vs[0],
-    )
+    """Worst group-mass-weighted conditional distance to calibration, and
+    the first group that attains it.
+
+    Reads each group's least partition score from its `_PartitionScores`
+    and builds no witness: m(S) dce(S) is the score's cost part over the
+    tables' `unit` (dce's value is that cost over E L mass[full], and
+    mass[full] = scale m(S)).  The groups are compared by integer
+    cross-multiplication, a later one winning only when strictly greater.
+    """
+    top, unit, worst = -1, 1, None
+    for S in inst.groups:
+        scores = _tables(_PartitionScores, inst, S)
+        cost = scores.best[-1] >> scores.W
+        if cost * unit > top * scores.unit:
+            top, unit, worst = cost, scores.unit, S
+    return Fraction(top, unit), worst
 
 
 def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
@@ -209,7 +228,12 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     the lcm of their units.  A branch is pruned once its bound plus the
     least score of every later group exceeds the best complete score, at
     first the ground truth's; equal scores go on, so that among the nearest
-    members the smallest wins.  The Bell-product budget is checked first,
+    members the smallest wins.  A tied child of the largest group (bound
+    plus later least scores equal to the best complete score) is skipped
+    when the values assigned so far, read in point order up to the first
+    covered point not yet assigned, are greater than the incumbent's at
+    their first difference: every completion then ties at best and is
+    lexicographically greater.  The Bell-product budget is checked first,
     as for `multicalibrated_set`.
     """
     _check_bell_product(inst, budget)
@@ -305,6 +329,22 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     digit = (1 << width) - 1
     means: dict[int, int] = {}  # rank -> that class mean over Q
     seen: set[int] = set()  # expanded states, as value key << k | remainder
+    # the covered points in the order witnesses compare, each with its bit
+    # among the first group's positions (0 for a point of a later group)
+    bits_of = {x: 1 << j for j, x in enumerate(points)}
+    order = [(x, bits_of.get(x, 0)) for x in sorted(covered)]
+
+    def greater(left: int, C: int, v: int) -> bool:
+        """Whether the values assigned once class C holds v are greater than
+        best's at their first difference, read in point order up to the
+        first covered point not yet assigned (in `left` or a later group)."""
+        for x, j in order:
+            if not j or j & left:
+                return False
+            a = v if j & C else assign[x]
+            if a != best[x]:
+                return a > best[x]
+        return False
 
     def split(R: int, score: int, key: int):
         low = R & -R
@@ -333,6 +373,9 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
             v = means.get(r)
             if v is None:
                 v = means[r] = num[C] * (Q // mass[C])
+            # a tie whose prefix is already greater than best's never wins
+            if bound + later == top and greater(R ^ C, C, v):
+                continue
             bits = C
             while bits:
                 j = bits & -bits
@@ -344,6 +387,10 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
                 search(0, bound)
 
     split((1 << k) - 1, 0, 0)
+    # split and search call themselves through their closures; unbinding
+    # them ends that cycle, so the search's state is freed on return and
+    # not at the next garbage collection
+    del split, search
     witness = PredictorVec([f[x] if v is None else Fraction(v, Q) for x, v in enumerate(best)])
     return DistanceResult(Fraction(top, unit), witness)
 
@@ -375,30 +422,43 @@ def generated_partition(C: SubgroupCollection, n: int) -> tuple[Subgroup, ...]:
     """Cells of the partition generated by C: the maximal sets of points
     with identical group-membership signatures, in order of their least
     member.  Requires C to cover the domain."""
-    if not C.covers(n):
+    # sig[x] has bit i set when x is in group i
+    sig = [0] * n
+    outside = max(g.members[-1] for g in C) >= n
+    if not outside:
+        for i, g in enumerate(C):
+            bit = 1 << i
+            for x in g.members:
+                sig[x] |= bit
+    if outside or not all(sig):
         raise ValueError("groups must cover the domain to generate a partition")
-    signature: dict[tuple[int, ...], list[int]] = {}
-    member_sets = [set(g.members) for g in C]
-    for x in range(n):
-        sig = tuple(i for i, ms in enumerate(member_sets) if x in ms)
-        signature.setdefault(sig, []).append(x)
-    return tuple(Subgroup(xs) for xs in sorted(signature.values()))
+    # a cell is first met at its least member, so the cells come in that order
+    cells: dict[int, list[int]] = {}
+    for x, s in enumerate(sig):
+        cells.setdefault(s, []).append(x)
+    return tuple(map(Subgroup._of, cells.values()))
 
 
 def dimc(inst: Instance) -> DistanceResult:
     """Distance to intersection multicalibration (= continuized dmc).
 
     Decomposes over the generated partition: sum of cell mass times the
-    conditional distance to calibration on the cell.  The witness takes
-    each cell's values from that cell's witness.
+    conditional distance to calibration on the cell.  As in `wdmc`, each
+    term m(c) dce(c) is read from the cell's least partition score as an
+    integer over its tables' `unit`; the terms are summed over the lcm of
+    their units.  The witness takes each cell's values from the low bits of
+    that score, which are dce's witness on the cell, and is built once.
     """
-    total = Fraction(0)
+    total, unit = 0, 1
     updates: dict[int, Fraction] = {}
     for cell in generated_partition(inst.groups, inst.n):
-        r = dce(inst, cell)
-        total += group_mass(inst.marginal, cell) * r.value
-        updates.update((x, r.witness[x]) for x in cell.members)
-    return DistanceResult(value=total, witness=inst.audited.with_values(updates))
+        scores = _tables(_PartitionScores, inst, cell)
+        score = scores.best[-1]
+        common = lcm(unit, scores.unit)
+        total = total * (common // unit) + (score >> scores.W) * (common // scores.unit)
+        unit = common
+        updates.update(zip(cell.members, scores.values(score)))
+    return DistanceResult(value=Fraction(total, unit), witness=inst.audited.with_values(updates))
 
 
 def dcma(inst: Instance) -> DistanceResult:
@@ -456,6 +516,7 @@ def dcma(inst: Instance) -> DistanceResult:
                 top = bound
 
     search((1 << t.k) - 1, 0, (0,) * len(groups))
+    del search  # as in dmc: free the search's state on return
     return scores.result(top)
 
 

@@ -94,16 +94,16 @@ def is_calibrated(f: PredictorVec, inst: Instance, S: Subgroup) -> bool:
     With D the lcm over S of den(m(x))den(p*(x)), M(x) = D m(x) and
     N(x) = D m(x)p*(x) are integers, and a level set of value v passes when
     den(v) sum N == num(v) sum M."""
-    m = inst.marginal
-    p = inst.ground_truth
-    D = lcm(*(m[i].denominator * p[i].denominator for i in S.members))
+    m, p, v = inst.marginal.probs, inst.ground_truth.values, f.values
+    ms = [m[i].as_integer_ratio() for i in S.members]
+    ps = [p[i].as_integer_ratio() for i in S.members]
+    D = lcm(*(b * d for (_, b), (_, d) in zip(ms, ps)))
     sums: dict[tuple[int, int], list[int]] = {}
-    for i in S.members:
-        w, v = m[i], f[i]
-        M = w.numerator * (D // w.denominator)
-        s = sums.setdefault((v.numerator, v.denominator), [0, 0])
+    for (a, b), (c, d), i in zip(ms, ps, S.members):
+        M = a * (D // b)
+        s = sums.setdefault(v[i].as_integer_ratio(), [0, 0])
         s[0] += M
-        s[1] += M // p[i].denominator * p[i].numerator
+        s[1] += M // d * c
     return all(den * N == num * M for (num, den), (M, N) in sums.items())
 
 
@@ -253,6 +253,7 @@ def calibrated_set(inst: Instance, S: Subgroup) -> tuple[tuple[Fraction, ...], .
             sub = (sub - 1) & others
 
     rec((1 << t.k) - 1, 0)
+    del rec  # rec calls itself through its closure: end that cycle on return
     return tuple(t.values(sorted(found)))
 
 

@@ -27,7 +27,7 @@ from mcalaudit import (
     wdma,
     wdmc,
 )
-from mcalaudit.core import instance_from_dict
+from mcalaudit.core import group_mass, instance_from_dict
 import mcalaudit.distances
 import mcalaudit.enumeration
 from mcalaudit.distances import CLOSURE_CEILING, METRICS, certify
@@ -77,6 +77,84 @@ def test_wdmc_and_wdma_report_the_first_of_tied_groups():
         first = inst.groups[0]
         assert wdmc(inst) == (Fraction(1, 8), first)
         assert wdma(inst) == (Fraction(1, 8), first)
+
+
+def test_wdmc_reports_the_first_of_groups_tied_over_different_units():
+    # {0,1}: mass 1/2, dce 1/10; {2}: mass 1/4, dce 1/5; both weigh 1/20
+    quarter = Fraction(1, 4)
+    d = {"n": 4, "marginal": [quarter] * 4, "p_star": [0, 0, 0, 1], "f": ["1/10", "1/10", "1/5", 1]}
+    for groups in ([[0, 1], [2], [3]], [[2], [3], [0, 1]], [[3], [0, 1], [2]]):
+        inst = instance_from_dict({**d, "groups": groups})
+        first = next(S for S in inst.groups if S.members != (3,))
+        assert wdmc(inst) == (Fraction(1, 20), first)
+        assert wdmc(inst) == _weighted_dce_oracle(inst)
+
+
+def _weighted_dce_oracle(inst):
+    """wdmc from dce's values: max of m(S) dce(S), the first maximal group."""
+    return max(((group_mass(inst.marginal, S) * dce(inst, S).value, S) for S in inst.groups), key=lambda t: t[0])
+
+
+def _check_wdmc_and_dimc(inst):
+    """wdmc and dimc against dce: wdmc is the largest m(S) dce(S), the
+    first such group; dimc is the sum of m(c) dce(c) over the generated
+    cells, its witness taking each cell's values from that cell's dce
+    witness, and is refused when the groups leave a point uncovered."""
+    assert wdmc(inst) == _weighted_dce_oracle(inst)
+    if not inst.groups.covers(inst.n):
+        with pytest.raises(ValueError, match="cover"):
+            dimc(inst)
+        return
+    total, updates = Fraction(0), {}
+    for cell in generated_partition(inst.groups, inst.n):
+        r = dce(inst, cell)
+        total += group_mass(inst.marginal, cell) * r.value
+        updates.update((x, r.witness[x]) for x in cell.members)
+    assert dimc(inst) == (total, inst.audited.with_values(updates))
+
+
+def test_wdmc_and_dimc_match_dce_on_seeded_instances():
+    for seed in range(60):
+        n = 2 + seed % 7
+        _check_wdmc_and_dimc(gen_random(n, 1 + seed % min(4, n), seed=seed, grid_denominator=(3, 20)[seed % 2]))
+    rng = random.Random(26)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        inst = _table_instance(rng, n, rng.choice(["uniform", "ties", "primes"]))
+        groups = {tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(rng.randint(1, 4))}
+        _check_wdmc_and_dimc(inst.with_groups(SubgroupCollection(sorted(groups))))
+
+
+def test_wdmc_and_dimc_match_dce_on_the_families():
+    cube, with_target = gen_hypercube(3)
+    for inst in (gen_three_point(Fraction(1, 10)), gen_ring(2), cube, with_target([0, 3]), gen_cdmc_example(),
+                 gen_wdmc_local_min(Fraction(1, 200), Fraction(1, 10)), *gen_dcma_example(Fraction(1, 100))):
+        _check_wdmc_and_dimc(inst)
+
+
+def test_wdmc_and_dimc_read_no_witness_of_dce(monkeypatch):
+    cases = [gen_ring(2), gen_random(8, 4, seed=3), _table_instance(random.Random(4), 6, "primes")]
+    expected = [(wdmc(inst), dimc(inst)) for inst in cases]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dce's witness was built")
+
+    monkeypatch.setattr(mcalaudit.distances, "dce", refused)
+    monkeypatch.setattr(mcalaudit.distances._PartitionScores, "result", refused)
+    copies = []
+    with_values = PredictorVec.with_values
+
+    def counted(self, updates):
+        copies.append(len(updates))
+        return with_values(self, updates)
+
+    monkeypatch.setattr(PredictorVec, "with_values", counted)
+    for inst, (w, d) in zip(cases, expected):
+        assert wdmc(inst) == w
+        assert copies == []
+        assert dimc(inst) == d
+        assert copies == [inst.n]
+        copies.clear()
 
 
 def _completed_mcal(inst, budget=DEFAULT_BUDGET):
@@ -218,6 +296,23 @@ def test_dmc_on_a_constant_ten_point_group_stays_fast():
     assert (r.value, r.witness) == (0, inst.audited)
 
 
+def test_dmc_matches_the_oracle_when_prime_denominator_means_tie():
+    # f = 1/2 on one group whose class means are all distinct: tens to
+    # tens of thousands of partitions tie for the least distance
+    for seed, n in ((10, 8), (12, 8), (10, 10)):
+        assert _check_dmc(_table_instance(random.Random(seed), n, "primes")) > 100
+
+
+def test_dmc_on_a_ten_point_prime_denominator_group_stays_fast():
+    # Without the prefix bound on ties, the search expands ~57,000 states
+    # here and takes about 1 s; with it, about 0.15 s.
+    inst = _table_instance(random.Random(10), 10, "primes")
+    start = time.perf_counter()
+    r = dmc(inst)
+    assert time.perf_counter() - start < 0.5
+    assert r == dce(inst, inst.groups[0])
+
+
 def test_dmc_matches_the_oracle_with_two_largest_groups_of_equal_size():
     rng = random.Random(8)
     checked = 0
@@ -257,6 +352,12 @@ def _dmc_instances(draw, max_k=6):
 @given(_dmc_instances())
 def test_dmc_matches_the_oracle_on_generated_instances(inst):
     _check_dmc(inst, budget=10**12)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_dmc_instances(max_k=8))
+def test_wdmc_and_dimc_match_dce_on_generated_instances(inst):
+    _check_wdmc_and_dimc(inst)
 
 
 def test_dmc_lists_each_group_once_and_joins_no_set(monkeypatch):
@@ -342,6 +443,46 @@ def test_generated_partition_cells_disjoint_cover():
         for c in generated_partition(inst.groups, inst.n):
             seen.extend(c.members)
         assert sorted(seen) == list(range(inst.n))
+
+
+def _partition_oracle(C, n):
+    """The generated partition by brute force: every point's tuple of
+    memberships, the points grouped by it, the cells in order of their
+    least member; None when C does not cover exactly range(n)."""
+    if set().union(*(g.members for g in C)) != set(range(n)):
+        return None
+    cells = {}
+    for x in range(n):
+        cells.setdefault(tuple(x in g.members for g in C), []).append(x)
+    return sorted(tuple(xs) for xs in cells.values())
+
+
+@st.composite
+def _collections(draw):
+    """n and groups over 0..n-1, which may leave points uncovered, often
+    with a last group of the points left over, and sometimes with the
+    point n outside the domain in one more group."""
+    n = draw(st.integers(1, 9))
+    members = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    groups = draw(st.lists(members, min_size=1, max_size=5, unique=True))
+    rest = frozenset(range(n)).difference(*groups)
+    if rest and draw(st.booleans()):
+        groups.append(rest)
+    if draw(st.integers(0, 5)) == 0:
+        groups.append(frozenset({n}))
+    return n, SubgroupCollection(groups)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_collections())
+def test_generated_partition_matches_grouping_by_membership(case):
+    n, C = case
+    expected = _partition_oracle(C, n)
+    if expected is None:
+        with pytest.raises(ValueError, match="cover"):
+            generated_partition(C, n)
+    else:
+        assert [c.members for c in generated_partition(C, n)] == expected
 
 
 def test_dimc_decomposition_matches_cellwise_sum():
