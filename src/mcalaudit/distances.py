@@ -19,17 +19,22 @@ listing the calibrated set (`_PartitionScores`).  wdmc and dimc call no
 dce and build no per-subgroup witness: for a subgroup S, dce's value is
 the cost part of S's least score over E L mass[full], and mass[full] =
 scale m(S), so m(S) dce(S) is that cost over the tables' `unit` =
-scale E L, an integer ratio that wdmc compares and dimc sums.  dcma
-builds the same tables on the whole domain and runs a branch and bound
-over partitions, bounded below by the DP and pruned against the best
-unbiased partition found so far.  dmc lists no multicalibrated set, nor
-its largest group's calibrated set: a branch and bound over that group's
-partition scores, as dcma's, joins each of its partitions with the other
-groups' calibrated sets, each candidate scored once in integers.
+scale E L, an integer ratio that wdmc compares and dimc sums.  Before
+building any tables they bound it from one integer vector e, e[x]/D =
+m(x)(f(x) - p*(x)): |sum_S e|/D <= m(S) dce(S) <= sum_S |e|/D.  wdmc
+skips a group that cannot be the first worst one and takes the upper
+bound where the two meet; dimc reads a one-point cell's term |e[x]|/D
+and keeps the DP for every other cell.  dcma builds the same tables on
+the whole domain and runs a branch and bound over partitions, bounded
+below by the DP and pruned against the best unbiased partition found so
+far.  dmc lists no multicalibrated set, nor its largest group's
+calibrated set: a branch and bound over that group's partition scores,
+as dcma's, joins each of its partitions with the other groups'
+calibrated sets, each candidate scored once in integers.
 The class tables and partition scores of the instance's groups and of its
 whole domain are built once per instance (`enumeration._tables`), so the
-metrics of one audit share them: wdmc, dmc and dimc read a group's, dcma
-the domain's.
+metrics of one audit share them: wdmc (for a group its bounds leave
+open), dmc and dimc read a group's, dcma the domain's.
 All three refuse k above PARTITION_CEILING with `BudgetExceeded`, and dmc
 also refuses a per-group Bell-number product above its budget.  `METRICS`
 is the one table of the six audited metrics.
@@ -52,12 +57,14 @@ from .core import (
     SubgroupCollection,
     WitnessError,
     _cut,
+    _weighted_differences,
     group_mass,
     l1_distance,
 )
 from .enumeration import (
     DEFAULT_BUDGET,
     _check_bell_product,
+    _check_ceiling,
     _ClassTables,
     _tables,
     calibrated_set,
@@ -188,18 +195,37 @@ def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted conditional distance to calibration, and
     the first group that attains it.
 
-    Reads each group's least partition score from its `_PartitionScores`
-    and builds no witness: m(S) dce(S) is the score's cost part over the
+    A branch and bound over the groups.  With e[x]/D = m(x)(f(x) - p*(x)),
+    |sum_S e|/D <= m(S) dce(S) <= sum_S |e|/D: a predictor calibrated on S
+    keeps S's mass-weighted mean of p*, and p* is calibrated on S.  A group
+    whose upper bound is below the largest lower bound, or at most the
+    worst value found so far (a later group wins only when strictly
+    greater), is skipped; where its bounds meet, the upper bound is its
+    value.  Any other group's value is read from its least partition score
+    with no witness built: m(S) dce(S) is the score's cost part over the
     tables' `unit` (dce's value is that cost over E L mass[full], and
-    mass[full] = scale m(S)).  The groups are compared by integer
-    cross-multiplication, a later one winning only when strictly greater.
+    mass[full] = scale m(S)).  Values are compared by integer
+    cross-multiplication.  A group above the partition ceiling is refused
+    as its tables would be, whether or not its bounds settle it.
     """
-    top, unit, worst = -1, 1, None
+    e, D = _weighted_differences(inst.audited, inst.ground_truth, inst.marginal)
+    bounds = []
     for S in inst.groups:
-        scores = _tables(_PartitionScores, inst, S)
-        cost = scores.best[-1] >> scores.W
-        if cost * unit > top * scores.unit:
-            top, unit, worst = cost, scores.unit, S
+        _check_ceiling(len(S))
+        es = [e[x] for x in S.members]
+        bounds.append((S, abs(sum(es)), sum(map(abs, es))))
+    floor = max(lower for _, lower, _ in bounds)
+    top, unit, worst = -1, 1, None
+    for S, lower, upper in bounds:
+        if upper < floor or upper * unit <= top * D:
+            continue
+        if lower == upper:
+            cost, den = upper, D
+        else:
+            scores = _tables(_PartitionScores, inst, S)
+            cost, den = scores.best[-1] >> scores.W, scores.unit
+        if cost * unit > top * den:
+            top, unit, worst = cost, den, S
     return Fraction(top, unit), worst
 
 
@@ -443,21 +469,33 @@ def dimc(inst: Instance) -> DistanceResult:
     """Distance to intersection multicalibration (= continuized dmc).
 
     Decomposes over the generated partition: sum of cell mass times the
-    conditional distance to calibration on the cell.  As in `wdmc`, each
-    term m(c) dce(c) is read from the cell's least partition score as an
-    integer over its tables' `unit`; the terms are summed over the lcm of
-    their units.  The witness takes each cell's values from the low bits of
-    that score, which are dce's witness on the cell, and is built once.
+    conditional distance to calibration on the cell.  A one-point cell {x}
+    has one partition, so its term is m(x)|f(x) - p*(x)| = |e[x]|/D (as in
+    `wdmc`) and its witness value p*(x), with no tables built.  Every other
+    cell keeps the DP, even where `wdmc`'s bounds meet: a nearest member
+    other than p* can be lexicographically smaller.  As in `wdmc`, its term
+    m(c) dce(c) is read from its least partition score as an integer over
+    its tables' `unit`; the terms are summed over the lcm of their units.
+    The witness takes each such cell's values from the low bits of that
+    score, which are dce's witness on the cell, and is built once.
     """
-    total, unit = 0, 1
+    e, D = _weighted_differences(inst.audited, inst.ground_truth, inst.marginal)
+    p = inst.ground_truth.values
+    total, unit = 0, D
     updates: dict[int, Fraction] = {}
     for cell in generated_partition(inst.groups, inst.n):
+        members = cell.members
+        if len(members) == 1:
+            (x,) = members
+            total += abs(e[x]) * (unit // D)
+            updates[x] = p[x]
+            continue
         scores = _tables(_PartitionScores, inst, cell)
         score = scores.best[-1]
         common = lcm(unit, scores.unit)
         total = total * (common // unit) + (score >> scores.W) * (common // scores.unit)
         unit = common
-        updates.update(zip(cell.members, scores.values(score)))
+        updates.update(zip(members, scores.values(score)))
     return DistanceResult(value=Fraction(total, unit), witness=inst.audited.with_values(updates))
 
 

@@ -209,7 +209,8 @@ def _tables(cls, inst: Instance, S: Subgroup):
     `distances._PartitionScores`), built once per instance for each of its
     groups and for the whole domain and kept on the instance: those are the
     subgroups that more than one metric asks for.  Any other subgroup (a
-    dimc cell that is no group) is built on every call and not kept."""
+    dimc cell of several points that is no group) is built on every call
+    and not kept."""
     key = (cls, S.members)
     cache = inst._table_cache
     tables = cache.get(key)

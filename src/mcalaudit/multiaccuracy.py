@@ -327,14 +327,17 @@ def _dma_problem(inst: Instance) -> LPProblem:
     m = inst.marginal.probs
     f = inst.audited
     sums, D = _signed_bias_masses(f, inst, inst.groups)
+    down = [-w for w in m]
     constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
     for S, s in zip(inst.groups, sums):
         coeffs = [_ZERO] * (2 * n)
         for i in S.members:
             coeffs[i] = m[i]
-            coeffs[n + i] = -m[i]
+            coeffs[n + i] = down[i]
         constraints.append((tuple(coeffs), Fraction(s, D)))
-    return LPProblem(m * 2, tuple(constraints), tuple(1 - v for v in f.values) + f.values)
+    # 1 - a/b = (b - a)/b, already in lowest terms
+    rise = tuple(Fraction(b - a, b) for a, b in map(Fraction.as_integer_ratio, f.values))
+    return LPProblem(m * 2, tuple(constraints), rise + f.values)
 
 
 def dma(inst: Instance) -> DistanceResult:

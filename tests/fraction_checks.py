@@ -55,6 +55,22 @@ def signed_bias_mass(f, inst, S):
     return sum((m[i] * (p[i] - f[i]) for i in S.members), Fraction(0))
 
 
+def dma_problem(inst):
+    """dma's LP over (u, v) with g = f + u - v, as `Fraction` sums: the
+    objective (m, m), one row (m on u, -m on v over S; rhs the signed bias
+    mass) per group, and the upper bounds (1 - f, f)."""
+    n, m, f = inst.n, inst.marginal, inst.audited
+    rows = []
+    for S in inst.groups:
+        coeffs = [Fraction(0)] * (2 * n)
+        for i in S.members:
+            coeffs[i] = m[i]
+            coeffs[n + i] = Fraction(0) - m[i]
+        rows.append((tuple(coeffs), signed_bias_mass(f, inst, S)))
+    upper = [Fraction(1) - f[i] for i in range(n)] + [f[i] for i in range(n)]
+    return tuple(m.probs) * 2, tuple(rows), tuple(upper)
+
+
 def validate_messages(inst):
     """The violations of `core.validate`, each test read off `Fraction`
     comparisons and the marginal's mass a `Fraction` sum."""

@@ -41,7 +41,8 @@ from mcalaudit.instances import (
     gen_three_point,
     gen_wdmc_local_min,
 )
-from test_cal_engine import _check_dcma, _table_instance
+from test_cal_engine import _check_dcma, _table_instance, _table_instances
+from test_table_cache import builds  # noqa: F401  (a fixture)
 
 
 def test_dce_three_point():
@@ -155,6 +156,94 @@ def test_wdmc_and_dimc_read_no_witness_of_dce(monkeypatch):
         assert dimc(inst) == d
         assert copies == [inst.n]
         copies.clear()
+
+
+def _bounds_oracle(inst, S):
+    """|sum_S m(f - p*)| and sum_S m|f - p*| in `Fraction` sums, and whether
+    f - p* keeps one sign on S."""
+    m, f, p = inst.marginal, inst.audited, inst.ground_truth
+    diffs = [m[x] * (f[x] - p[x]) for x in S.members]
+    one_sign = all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)
+    return abs(sum(diffs, Fraction(0))), sum(map(abs, diffs), Fraction(0)), one_sign
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(_table_instances(max_k=8), st.data())
+def test_group_mass_times_dce_lies_between_the_bias_and_the_distance_to_p_star(case, data):
+    inst, S = case
+    if data.draw(st.booleans()):  # f a grid draw, not the constant 1/2
+        grid = st.lists(st.integers(0, 6), min_size=inst.n, max_size=inst.n)
+        inst = inst.with_audited(PredictorVec([Fraction(v, 6) for v in data.draw(grid)]))
+    lower, upper, one_sign = _bounds_oracle(inst, S)
+    weighted = group_mass(inst.marginal, S) * dce(inst, S).value
+    assert lower <= weighted <= upper
+    if one_sign:
+        assert lower == weighted == upper
+
+
+def test_wdmc_reports_the_first_maximal_group_when_its_bounds_skip_a_tied_one(builds):
+    # m = 1/4; e = m(f - p*) = (1/8, -1/8, 1/8, 1/8).  {2} and {3} keep one
+    # sign, so their bounds meet at 1/8; {0, 1}'s bounds are 0 and 1/4, and
+    # its DP finds 1/8 (one class of mean 1/4)
+    quarter = Fraction(1, 4)
+    d = {"n": 4, "marginal": [quarter] * 4, "p_star": [0, "1/2", 0, 0], "f": ["1/2", 0, "1/2", "1/2"]}
+    for groups, first in (([[2], [3]], (2,)), ([[3], [2]], (3,)), ([[0, 1], [2]], (0, 1)), ([[2], [0, 1], [3]], (2,))):
+        inst = instance_from_dict({**d, "groups": groups})
+        before = len(builds["score"])
+        value, group = wdmc(inst)
+        # {0, 1}'s tables alone: its upper bound 1/4 passes, but its value
+        # does not beat a 1/8 found before it
+        assert builds["score"][before:] == ([(0, 1)] if [0, 1] in groups else [])
+        assert (value, group.members) == (Fraction(1, 8), first)
+        assert (value, group) == _weighted_dce_oracle(inst)
+
+
+def test_wdmc_and_dimc_where_f_is_at_least_p_star_everywhere(builds):
+    # e >= 0: every bound meets, and wdmc builds no group's tables; dimc's
+    # cells of several points still take the DP's witness
+    rng = random.Random(27)
+    for seed in range(40):
+        n = 2 + seed % 7
+        inst = gen_random(n, 1 + seed % min(4, n), seed=seed, grid_denominator=(3, 20)[seed % 2])
+        p = inst.ground_truth
+        inst = inst.with_audited(PredictorVec([max(p[x], Fraction(rng.randint(0, 6), 6)) for x in range(n)]))
+        before = len(builds["score"])
+        wdmc(inst)
+        assert len(builds["score"]) == before
+        _check_wdmc_and_dimc(inst)
+    # f = (1/2, 1/2), p* = (2/5, 1/5): the bounds meet at 1/5, which p*
+    # attains, but so does (3/10, 3/10), the smaller witness
+    inst = instance_from_dict({"n": 2, "marginal": ["1/2"] * 2, "p_star": ["2/5", "1/5"], "f": ["1/2"] * 2, "groups": [[0, 1]]})
+    assert wdmc(inst) == (Fraction(1, 5), inst.groups[0])
+    assert dimc(inst).witness.values == (Fraction(3, 10), Fraction(3, 10))
+    _check_wdmc_and_dimc(inst)
+
+
+def test_one_point_cells_build_no_tables(builds):
+    inst = gen_cdmc_example()  # cells (0,), (1, 2), (3,); groups (0, 1, 2), (1, 2, 3)
+    _check_wdmc_and_dimc(inst)
+    before = {kind: len(v) for kind, v in builds.items()}
+    dimc(inst)
+    assert {kind: v[before[kind]:] for kind, v in builds.items()} == {"class": [(1, 2)], "score": [(1, 2)]}
+    # f = p* on every point: wdmc's bounds are all 0, and every cell is one point
+    cube, _ = gen_hypercube(4)
+    assert all(len(c) == 1 for c in generated_partition(cube.groups, cube.n))
+    before = {kind: len(v) for kind, v in builds.items()}
+    assert wdmc(cube) == (0, cube.groups[0])
+    assert dimc(cube) == (0, cube.audited)
+    assert {kind: len(v) for kind, v in builds.items()} == before
+
+
+def test_wdmc_refuses_a_group_above_the_partition_ceiling_that_its_bounds_settle():
+    n = 13
+    half = ["1/2"] * n
+    # f = p*: every bound is 0.  The second instance's cells have at most
+    # 10 points, so dimc computes it.
+    for groups, refused in (([list(range(n))], (wdmc, dimc)), ([[0], [1, 2], list(range(n))], (wdmc,))):
+        inst = instance_from_dict({"n": n, "marginal": [f"1/{n}"] * n, "p_star": half, "f": half, "groups": groups})
+        for metric in refused:
+            with pytest.raises(BudgetExceeded, match=r"^k=13 exceeds the partition ceiling 12 \("):
+                metric(inst)
 
 
 def _completed_mcal(inst, budget=DEFAULT_BUDGET):

@@ -1,17 +1,19 @@
 """The integer glue around the exact engines against `Fraction` oracles
 (`fraction_checks`): group masses, signed group biases and therefore
-`bias`, `wdma` and the rhs of `_dma_problem`, and the per-point integers
-of `_ClassTables`.  The instances are one or more of every `generate`
+`bias`, `wdma` and the rhs of `_dma_problem`, the whole `_dma_problem`
+and its JSON (`audit --dump-lp`), and the per-point integers of
+`_ClassTables`.  The instances are one or more of every `generate`
 family, seeded random instances (some with every group tied) and the
 hypothesis instances of `test_multiaccuracy`."""
 
 import random
+from fractions import Fraction as F
 from math import lcm
 
 from hypothesis import given, settings
 
 import fraction_checks as oracle
-from mcalaudit import Subgroup, bias, group_mass, wdma
+from mcalaudit import LPProblem, PredictorVec, Subgroup, bias, group_mass, wdma
 from mcalaudit.enumeration import _ClassTables
 from mcalaudit.instances import gen_random
 from mcalaudit.multiaccuracy import _dma_problem
@@ -70,6 +72,26 @@ def test_feeds_match_the_oracles_on_seeded_random_instances():
         ties += len({oracle.signed_bias_mass(inst.audited, inst, S) for S in inst.groups}) < len(inst.groups)
         _check_feeds(inst)
     assert ties >= 30
+
+
+def _check_dma_problem(inst):
+    expected = LPProblem(*oracle.dma_problem(inst))
+    problem = _dma_problem(inst)
+    assert problem == expected
+    assert problem.to_json() == expected.to_json()
+
+
+def test_dma_problem_matches_the_fraction_oracle():
+    rng = random.Random(27)
+    cases = [inst for _, inst in _family_instances()]
+    for s in range(100):
+        n = 1 + s % 12
+        cases.append(gen_random(n, rng.randrange(1, n + 1), seed=rng.randrange(2**32), uniform_marginal=s % 3 == 0))
+    for inst in cases:
+        _check_dma_problem(inst)
+        # f at the ends of [0, 1]: upper bounds of 0 on u and on v
+        ends = PredictorVec([F(rng.randint(0, 1)) for _ in range(inst.n)])
+        _check_dma_problem(inst.with_audited(ends))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

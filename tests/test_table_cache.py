@@ -95,25 +95,34 @@ def test_one_audit_builds_each_subgroups_tables_once(builds, inst):
         _compute(name, inst)
     groups = {g.members for g in inst.groups}
     domain = tuple(range(inst.n))
-    asked = groups | {c.members for c in generated_partition(inst.groups, inst.n)} | {domain}
-    assert sorted(builds["class"]) == sorted(asked)
-    assert sorted(builds["score"]) == sorted(asked)
+    cells = {c.members for c in generated_partition(inst.groups, inst.n)}
+    asked = groups | cells | {domain}
+    # wdmc skips a group that its bounds settle, and dimc builds nothing
+    # for a one-point cell; every other cell and the domain (dcma) are built
+    needed = {c for c in cells if len(c) > 1} | {domain}
+    for kind in ("class", "score"):
+        built = builds[kind]
+        assert len(built) == len(set(built)), kind
+        assert needed <= set(built) <= asked, kind
+        assert not {c for c in cells - groups - {domain} if len(c) == 1} & set(built), kind
     # only the groups' and the domain's tables stay on the instance
     kept = {members for _, members in inst._table_cache}
-    assert kept == asked & (groups | {domain})
+    assert kept == set(builds["class"]) & (groups | {domain})
 
 
 def test_a_second_audit_rebuilds_only_the_cells_that_are_no_group(builds):
-    inst = gen_random(5, 2, seed=3)
-    for name in METRICS:
-        _compute(name, inst)
-    before = {kind: len(v) for kind, v in builds.items()}
-    cells = generated_partition(inst.groups, inst.n)
-    kept = {g.members for g in inst.groups} | {tuple(range(inst.n))}
-    rebuilt = sum(c.members not in kept for c in cells)  # dimc's cells that are no group
-    for name in METRICS:
-        _compute(name, inst)
-    assert {kind: len(v) - before[kind] for kind, v in builds.items()} == {"class": rebuilt, "score": rebuilt}
+    for inst in (gen_random(5, 2, seed=3), gen_cdmc_example()):
+        for name in METRICS:
+            _compute(name, inst)
+        before = {kind: len(v) for kind, v in builds.items()}
+        cells = generated_partition(inst.groups, inst.n)
+        kept = {g.members for g in inst.groups} | {tuple(range(inst.n))}
+        # dimc's cells of several points that are no group (cdmc's (1, 2)); a
+        # one-point cell (cdmc's (0,) and (3,)) is read without tables
+        rebuilt = sum(len(c) > 1 and c.members not in kept for c in cells)
+        for name in METRICS:
+            _compute(name, inst)
+        assert {kind: len(v) - before[kind] for kind, v in builds.items()} == {"class": rebuilt, "score": rebuilt}
 
 
 def _orders(rng):
