@@ -49,7 +49,6 @@ from .enumeration import (
     calibrated_set,
     is_calibrated,
     is_degree_r_multicalibrated,
-    is_multiaccurate,
     multicalibrated_set,
 )
 from .estimators import dce_interval, dimc_interval
@@ -219,12 +218,14 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty):
     per_group = [is_calibrated(f, inst, S) for S in inst.groups]
     report["membership"]["calibrated_per_group"] = per_group
     report["membership"]["multicalibrated"] = all(per_group)
-    report["membership"]["multiaccurate"] = is_multiaccurate(f, inst)
-    # A group holds at most n distinct values of f, so every r >= n has the
-    # flag of r = n.
-    flags = [is_degree_r_multicalibrated(f, inst, r) for r in range(1, min(degree, inst.n) + 1)]
+    # Degree r + 1 implies degree r, and r >= n has the flag of r = n (a group
+    # holds at most n values of f): the pass stops at a failure or at n.
+    top = 0
+    while top < min(degree, inst.n) and is_degree_r_multicalibrated(f, inst, top + 1):
+        top += 1
+    report["membership"]["multiaccurate"] = top >= 1
     report["membership"]["degree_r_multicalibrated"] = {
-        str(r): flags[min(r, inst.n) - 1] for r in range(1, degree + 1)
+        str(r): r <= top or top == inst.n for r in range(1, degree + 1)
     }
     report["l1_to_ground_truth"] = _rat_json(
         l1_distance(inst.audited, inst.ground_truth, inst.marginal)

@@ -272,8 +272,8 @@ class Instance:
     ground_truth: PredictorVec
     groups: SubgroupCollection
     audited: PredictorVec
-    # Engine tables, keyed by (table class, subgroup members) and built on
-    # first use (`enumeration._tables`); not part of the instance's value.
+    # Engine tables keyed by (table class, subgroup members) (`enumeration._tables`)
+    # and f's residuals (`_residuals`), built on first use; no part of its value.
     _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -307,6 +307,14 @@ def _weighted_differences(f: PredictorVec, g: PredictorVec, m: Marginal) -> tupl
     return [t * (D // d) for t, d in terms], D
 
 
+def _residuals(inst: Instance) -> tuple[list[int], int]:
+    """The audited instance's `_weighted_differences(f, p*, m)`, computed once and kept with its tables."""
+    cache = inst._table_cache
+    if _residuals not in cache:
+        cache[_residuals] = _weighted_differences(inst.audited, inst.ground_truth, inst.marginal)
+    return cache[_residuals]
+
+
 def l1_distance(f: PredictorVec, g: PredictorVec, m: Marginal) -> Fraction:
     """Marginal-weighted l1 distance: sum over x of m(x)*|f(x)-g(x)|, summed
     in integers over one common denominator; one Fraction is built at the
@@ -324,11 +332,11 @@ def group_mass(m: Marginal, S: Subgroup) -> Fraction:
 
 
 def conditional_l1(f: PredictorVec, g: PredictorVec, m: Marginal, S: Subgroup) -> Fraction:
-    """l1 distance between f and g under the marginal conditioned on S."""
+    """l1 distance between f and g under the marginal conditioned on S, in integers as `l1_distance`."""
     _check_dims(f, g, m)
-    mass = group_mass(m, S)
-    total = sum((m[i] * abs(f[i] - g[i]) for i in S.members), Fraction(0))
-    return total / mass
+    diffs, D = _weighted_differences(f, g, m)
+    masses, den = _int_numerators([m[i] for i in S.members])
+    return Fraction(sum(abs(diffs[i]) for i in S.members) * den, D * sum(masses))
 
 
 class DistanceResult(NamedTuple):

@@ -20,14 +20,14 @@ dce and build no per-subgroup witness: for a subgroup S, dce's value is
 the cost part of S's least score over E L mass[full], and mass[full] =
 scale m(S), so m(S) dce(S) is that cost over the tables' `unit` =
 scale E L, an integer ratio that wdmc compares and dimc sums.  Before
-building any tables they bound it from one integer vector e, e[x]/D =
-m(x)(f(x) - p*(x)): |sum_S e|/D <= m(S) dce(S) <= sum_S |e|/D.  wdmc
-skips a group that cannot be the first worst one and takes the upper
-bound where the two meet; dimc reads a one-point cell's term |e[x]|/D
-and keeps the DP for every other cell.  dcma builds the same tables on
-the whole domain and runs a branch and bound over partitions, bounded
-below by the DP and pruned against the best unbiased partition found so
-far.  dmc lists no multicalibrated set, nor its largest group's
+building any tables they bound it from the shared residuals e/D =
+m(f - p*) (`core._residuals`): |sum_S e|/D <= m(S) dce(S) <= sum_S |e|/D.
+wdmc skips a group that cannot be the first worst one and takes the
+upper bound where the two meet; dimc reads a one-point cell's term
+|e[x]|/D and keeps the DP for every other cell.  dcma builds the same
+tables on the whole domain and runs a branch and bound over partitions,
+bounded below by the DP and pruned against the best unbiased partition
+found so far.  dmc lists no multicalibrated set, nor its largest group's
 calibrated set: a branch and bound over that group's partition scores,
 as dcma's, joins each of its partitions with the other groups'
 calibrated sets, each candidate scored once in integers.
@@ -57,7 +57,7 @@ from .core import (
     SubgroupCollection,
     WitnessError,
     _cut,
-    _weighted_differences,
+    _residuals,
     group_mass,
     l1_distance,
 )
@@ -195,20 +195,20 @@ def wdmc(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted conditional distance to calibration, and
     the first group that attains it.
 
-    A branch and bound over the groups.  With e[x]/D = m(x)(f(x) - p*(x)),
-    |sum_S e|/D <= m(S) dce(S) <= sum_S |e|/D: a predictor calibrated on S
-    keeps S's mass-weighted mean of p*, and p* is calibrated on S.  A group
-    whose upper bound is below the largest lower bound, or at most the
-    worst value found so far (a later group wins only when strictly
-    greater), is skipped; where its bounds meet, the upper bound is its
-    value.  Any other group's value is read from its least partition score
-    with no witness built: m(S) dce(S) is the score's cost part over the
-    tables' `unit` (dce's value is that cost over E L mass[full], and
-    mass[full] = scale m(S)).  Values are compared by integer
-    cross-multiplication.  A group above the partition ceiling is refused
-    as its tables would be, whether or not its bounds settle it.
+    A branch and bound over the groups.  With the residuals e[x]/D =
+    m(x)(f(x) - p*(x)) (`core._residuals`), |sum_S e|/D <= m(S) dce(S) <=
+    sum_S |e|/D: a predictor calibrated on S keeps S's weighted mean of p*,
+    and p* is calibrated on S.  A group whose upper bound is below the
+    largest lower bound, or at most the worst value found so far (a later
+    group wins only when strictly greater), is skipped; where its bounds
+    meet, the upper bound is its value.  Any other group's value is read
+    from its least partition score with no witness built: m(S) dce(S) is the
+    score's cost part over the tables' `unit` (dce's value is that cost over
+    E L mass[full], and mass[full] = scale m(S)).  Values are compared by
+    integer cross-multiplication.  A group above the partition ceiling is
+    refused as its tables would be, whether or not its bounds settle it.
     """
-    e, D = _weighted_differences(inst.audited, inst.ground_truth, inst.marginal)
+    e, D = _residuals(inst)
     bounds = []
     for S in inst.groups:
         _check_ceiling(len(S))
@@ -417,7 +417,7 @@ def dmc(inst: Instance, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     # them ends that cycle, so the search's state is freed on return and
     # not at the next garbage collection
     del split, search
-    witness = PredictorVec([f[x] if v is None else Fraction(v, Q) for x, v in enumerate(best)])
+    witness = PredictorVec._of([f[x] if v is None else Fraction(v, Q) for x, v in enumerate(best)])
     return DistanceResult(Fraction(top, unit), witness)
 
 
@@ -479,7 +479,7 @@ def dimc(inst: Instance) -> DistanceResult:
     The witness takes each such cell's values from the low bits of that
     score, which are dce's witness on the cell, and is built once.
     """
-    e, D = _weighted_differences(inst.audited, inst.ground_truth, inst.marginal)
+    e, D = _residuals(inst)
     p = inst.ground_truth.values
     total, unit = 0, D
     updates: dict[int, Fraction] = {}
@@ -518,7 +518,7 @@ def dcma(inst: Instance) -> DistanceResult:
     nearest members.  The domain has mass 1, so the conditional distance
     that `_PartitionScores` reports is the l1 distance.
     """
-    scores = _tables(_PartitionScores, inst, Subgroup(range(inst.n)))
+    scores = _tables(_PartitionScores, inst, Subgroup._of(range(inst.n)))
     t, L, cost, best = scores.tables, scores.L, scores.cost, scores.best
     mass, num = t.mass, t.num
     groups = [sum(1 << x for x in S.members) for S in inst.groups]
@@ -622,6 +622,7 @@ def dmc_lowdeg_bruteforce(inst: Instance, r: int, grid_denominator: int) -> LowD
                 rec(i + 1, partial + m[i] * abs(f[i] - v))
 
     rec(0, Fraction(0))
+    del rec  # as in dmc: free the search's state on return
     if best[0] is None:  # pragma: no cover - the grid projection of p* passes
         raise RuntimeError("no grid candidate met the residual threshold")
     return LowDegreeSearchResult(
@@ -647,7 +648,7 @@ METRICS = {
     "dma": (lambda inst, budget: dma(inst), lambda w, inst: is_multiaccurate(w, inst)),
     "dcma": (
         lambda inst, budget: dcma(inst),
-        lambda w, inst: is_calibrated(w, inst, Subgroup(range(inst.n))) and is_multiaccurate(w, inst),
+        lambda w, inst: is_calibrated(w, inst, Subgroup._of(range(inst.n))) and is_multiaccurate(w, inst),
     ),
 }
 

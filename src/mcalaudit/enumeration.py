@@ -330,6 +330,7 @@ def multicalibrated_set(
                 assignment[x] = None
 
     rec(0)
+    del rec  # as in calibrated_set
     return sorted(results)
 
 
@@ -338,10 +339,9 @@ def is_multicalibrated(f: PredictorVec, inst: Instance) -> bool:
 
 
 def is_multiaccurate(f: PredictorVec, inst: Instance) -> bool:
-    """Zero bias on every group: weighted sums of f and of the ground truth
-    agree over each group."""
-    e, _ = _weighted_differences(f, inst.ground_truth, inst.marginal)
-    return all(sum(e[i] for i in S.members) == 0 for S in inst.groups)
+    """Zero bias on every group, sum_S m(f - p*) = 0: degree 1 of
+    `is_degree_r_multicalibrated`."""
+    return is_degree_r_multicalibrated(f, inst, 1)
 
 
 def is_degree_r_multicalibrated(f: PredictorVec, inst: Instance, r: int) -> bool:
@@ -351,16 +351,18 @@ def is_degree_r_multicalibrated(f: PredictorVec, inst: Instance, r: int) -> bool
     where f takes d distinct values the monomials below degree d already
     span every weight, so j stops at min(r, d).
 
-    With f(x) = q(x)/E over the group's common denominator E and the
-    residuals m(x)(f(x) - p*(x)) = e(x)/D over one denominator D, the j-th
-    condition is sum e(x) q(x)^j == 0, all in integers."""
+    With the residuals m(x)(f(x) - p*(x)) = e(x)/D over one denominator D
+    and f(x) = q(x)/E over the group's denominator E, the j-th condition is
+    sum e(x) q(x)^j == 0, all in integers; j = 0, tested first, is zero bias."""
     if r < 1:
         raise ValueError("r must be >= 1")
     e, _ = _weighted_differences(f, inst.ground_truth, inst.marginal)
     for S in inst.groups:
-        q, _ = _int_numerators([f[i] for i in S.members])
         es = [e[i] for i in S.members]
-        for j in range(min(r, len(set(q)))):
-            if sum(ei * qi**j for ei, qi in zip(es, q)) != 0:
+        if sum(es) != 0:
+            return False
+        if r > 1:
+            q, _ = _int_numerators([f[i] for i in S.members])
+            if any(sum(ei * qi**j for ei, qi in zip(es, q)) for j in range(1, min(r, len(set(q))))):
                 return False
     return True

@@ -24,13 +24,12 @@ takes exactly the pivots and flips of a `Fraction` tableau over the
 unscaled variables and the solve ends at the same vertex, without a
 `Fraction` operation in the inner loop.
 
-The LP is fed and read in integers too.  Each group's rhs is one integer
-sum of m(x)(p*(x) - f(x)) over a common denominator
-(`core._weighted_differences`), which `wdma` and `bias` compare as well;
-`lp_solve` scales each row by products of numerators and of
-denominators, prices out phase 1 column by column, and builds a
-`Fraction` only for each basic variable and the optimum; `dma` forms
-f + u - v only where u or v is not 0.
+The LP is fed and read in integers too.  Each group's rhs is -sum_S e/D,
+with e/D = m(f - p*) the instance's residuals over one denominator D
+(`core._residuals`), which `wdma` compares too; `lp_solve` scales each
+row by products of numerators and of denominators, prices out phase 1
+column by column, and builds a `Fraction` only for each basic variable
+and the optimum; `dma` forms f + u - v only where u or v is not 0.
 
 Group masses and conditional label means are taken exactly from the
 Instance; sensitivity of the program to estimated constraint data is out
@@ -53,6 +52,7 @@ from .core import (
     Subgroup,
     WitnessError,
     _rat_str,
+    _residuals,
     _weighted_differences,
     group_mass,
 )
@@ -296,24 +296,17 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     return LPSolution("optimal", Fraction(-tab[-1][-1], dens[-1]), tuple(values))
 
 
-def _signed_bias_masses(f: PredictorVec, inst: Instance, groups) -> tuple[list[int], int]:
-    """sum over S of m(x)(p*(x) - f(x)), each group's mass times its signed
-    bias, for each S in groups, as integer numerators over one common
-    denominator D; and D."""
-    e, D = _weighted_differences(inst.ground_truth, f, inst.marginal)
-    return [sum(e[i] for i in S.members) for S in groups], D
-
-
 def bias(f: PredictorVec, inst: Instance, S: Subgroup) -> Fraction:
-    """|conditional mean of the ground truth minus f over S|, exact."""
-    (s,), D = _signed_bias_masses(f, inst, (S,))
-    return Fraction(abs(s), D) / group_mass(inst.marginal, S)
+    """|conditional mean of f minus the ground truth over S|, exact."""
+    e, D = _weighted_differences(f, inst.ground_truth, inst.marginal)
+    return Fraction(abs(sum(e[i] for i in S.members)), D) / group_mass(inst.marginal, S)
 
 
 def wdma(inst: Instance) -> tuple[Fraction, Subgroup]:
     """Worst group-mass-weighted bias of the audited predictor: the largest
-    |sum_S m(p* - f)| over the groups."""
-    sums, D = _signed_bias_masses(inst.audited, inst, inst.groups)
+    |sum_S m(f - p*)| over the groups."""
+    e, D = _residuals(inst)
+    sums = [sum(e[i] for i in S.members) for S in inst.groups]
     # max returns the first of several maximal groups.
     worst = max(range(len(sums)), key=lambda g: abs(sums[g]))
     return Fraction(abs(sums[worst]), D), inst.groups[worst]
@@ -322,19 +315,19 @@ def wdma(inst: Instance) -> tuple[Fraction, Subgroup]:
 def _dma_problem(inst: Instance) -> LPProblem:
     """Variables (u_1..u_n, v_1..v_n) with g = f + u - v, u <= 1 - f and
     v <= f; minimize sum m(x)(u(x) + v(x)) subject to exact unbiasedness
-    of g on every group: sum_S m(u - v) = sum_S m(p* - f)."""
+    of g on every group: sum_S m(u - v) = -sum_S m(f - p*)."""
     n = inst.n
     m = inst.marginal.probs
     f = inst.audited
-    sums, D = _signed_bias_masses(f, inst, inst.groups)
+    e, D = _residuals(inst)
     down = [-w for w in m]
     constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for S, s in zip(inst.groups, sums):
+    for S in inst.groups:
         coeffs = [_ZERO] * (2 * n)
         for i in S.members:
             coeffs[i] = m[i]
             coeffs[n + i] = down[i]
-        constraints.append((tuple(coeffs), Fraction(s, D)))
+        constraints.append((tuple(coeffs), Fraction(-sum(e[i] for i in S.members), D)))
     # 1 - a/b = (b - a)/b, already in lowest terms
     rise = tuple(Fraction(b - a, b) for a, b in map(Fraction.as_integer_ratio, f.values))
     return LPProblem(m * 2, tuple(constraints), rise + f.values)

@@ -48,6 +48,10 @@ def group_mass(m, S):
     return sum((m[i] for i in S.members), Fraction(0))
 
 
+def conditional_l1(f, g, m, S):
+    return sum((m[i] * abs(f[i] - g[i]) for i in S.members), Fraction(0)) / group_mass(m, S)
+
+
 def signed_bias_mass(f, inst, S):
     """sum over S of m(x)(p*(x) - f(x)): the group's mass times its signed bias."""
     m = inst.marginal

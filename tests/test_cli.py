@@ -15,7 +15,9 @@ from cli_runner import invoke
 from mcalaudit import LPProblem, lp_solve
 from mcalaudit.cli import _write_json, main
 from mcalaudit.core import dump_instance, instance_from_dict
-from mcalaudit.instances import gen_three_point
+from mcalaudit.instances import gen_random, gen_three_point
+from mcalaudit.multiaccuracy import dma
+from test_lp_engine import _family_instances
 
 
 def _run(args, **kwargs):
@@ -533,6 +535,52 @@ def test_audit_degree_flags_stop_at_the_domain_size(tmp_path, monkeypatch):
     flags = json.loads(r.output)["membership"]["degree_r_multicalibrated"]
     assert flags == {str(r): is_degree_r_multicalibrated(inst.audited, inst, r) for r in range(1, 51)}
     assert flags["1"] and not flags["2"]
+
+
+def _degree_instances():
+    """Every `generate` family and 60 seeded random instances, each also
+    with f = p* (every degree holds) and the seeded ones with f = dma's
+    witness (multiaccurate, so degree 1 holds and a higher one may not)."""
+    for _, inst in _family_instances():
+        yield inst
+        yield inst.with_audited(inst.ground_truth)
+    for seed in range(60):
+        inst = gen_random(2 + seed % 6, 1 + seed % 3, seed=seed, uniform_marginal=seed % 2 == 0)
+        yield inst
+        yield inst.with_audited(inst.ground_truth)
+        yield inst.with_audited(dma(inst).witness)
+
+
+def test_audit_degree_flags_match_the_predicate_and_the_pass_stops_at_the_first_failure(monkeypatch):
+    """`multiaccurate` is the flag of degree 1; the pass asks r = 1, 2, ...
+    and stops at the first degree that fails, or at min(degree, n)."""
+    import mcalaudit.cli as cli
+    from mcalaudit.enumeration import is_degree_r_multicalibrated
+
+    asked = []
+
+    def spy(f, inst, r):
+        asked.append((r, is_degree_r_multicalibrated(f, inst, r)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(cli, "is_degree_r_multicalibrated", spy)
+    seen = set()
+    for inst in _degree_instances():
+        asked.clear()
+        degree = inst.n + 2
+        r = _run(["audit", "-", "--metrics", "wdma", "--degree", str(degree)], input=dump_instance(inst))
+        assert r.exit_code == 0, r.output
+        membership = json.loads(r.stdout)["membership"]
+        flags = membership["degree_r_multicalibrated"]
+        expected = [is_degree_r_multicalibrated(inst.audited, inst, d) for d in range(1, degree + 1)]
+        assert flags == {str(d): v for d, v in enumerate(expected, 1)}
+        assert membership["multiaccurate"] is flags["1"]
+        assert [d for d, _ in asked] == list(range(1, len(asked) + 1))
+        assert all(ok for _, ok in asked[:-1])
+        assert not asked[-1][1] or len(asked) == inst.n
+        seen.add(sum(expected))
+    # the pass stopped at degree 1, at degree 2 and past the domain size
+    assert {0, 1} <= seen and max(seen) >= 6
 
 
 _json_scalars = st.one_of(

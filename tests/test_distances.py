@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from fractions import Fraction
@@ -31,7 +32,7 @@ from mcalaudit.core import group_mass, instance_from_dict
 import mcalaudit.distances
 import mcalaudit.enumeration
 from mcalaudit.distances import CLOSURE_CEILING, METRICS, certify
-from mcalaudit.enumeration import DEFAULT_BUDGET, multicalibrated_set
+from mcalaudit.enumeration import DEFAULT_BUDGET, calibrated_set, multicalibrated_set
 from mcalaudit.instances import (
     gen_cdmc_example,
     gen_dcma_example,
@@ -715,3 +716,27 @@ def test_every_metric_computes_and_its_witness_certifies(shape):
             certify(name, r, inst)
     assert values["wdmc"] <= values["dmc"] <= values["dimc"]
     assert values["wdma"] <= values["dma"]
+
+
+def test_the_recursive_searches_leave_no_cycle_for_the_collector():
+    """Each search unbinds its recursive closure on return, so a call made
+    with the collector off leaves it nothing to collect."""
+    inst = gen_random(5, 2, seed=1)
+    three = gen_three_point(Fraction(1, 10))
+    calls = {
+        "multicalibrated_set": lambda: multicalibrated_set(inst),
+        "dmc_lowdeg_bruteforce": lambda: dmc_lowdeg_bruteforce(three, 2, 10),
+        "dmc": lambda: dmc(inst),
+        "dcma": lambda: dcma(inst),
+        "calibrated_set": lambda: calibrated_set(inst, inst.groups[0]),
+    }
+    for name, call in calls.items():
+        call()  # the first call builds the tables kept on the instance
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0, name

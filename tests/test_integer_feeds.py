@@ -1,8 +1,8 @@
 """The integer glue around the exact engines against `Fraction` oracles
 (`fraction_checks`): group masses, signed group biases and therefore
 `bias`, `wdma` and the rhs of `_dma_problem`, the whole `_dma_problem`
-and its JSON (`audit --dump-lp`), and the per-point integers of
-`_ClassTables`.  The instances are one or more of every `generate`
+and its JSON (`audit --dump-lp`), `conditional_l1`, and the per-point
+integers of `_ClassTables`.  The instances are one or more of every `generate`
 family, seeded random instances (some with every group tied) and the
 hypothesis instances of `test_multiaccuracy`."""
 
@@ -13,7 +13,7 @@ from math import lcm
 from hypothesis import given, settings
 
 import fraction_checks as oracle
-from mcalaudit import LPProblem, PredictorVec, Subgroup, bias, group_mass, wdma
+from mcalaudit import LPProblem, PredictorVec, Subgroup, bias, conditional_l1, group_mass, wdma
 from mcalaudit.enumeration import _ClassTables
 from mcalaudit.instances import gen_random
 from mcalaudit.multiaccuracy import _dma_problem
@@ -99,3 +99,18 @@ def test_dma_problem_matches_the_fraction_oracle():
 def test_feeds_match_the_oracles_on_hypothesis_instances(inst):
     _check_feeds(inst)
 
+
+def test_conditional_l1_matches_the_fraction_oracle():
+    rng = random.Random(28)
+    cases = [inst for _, inst in _family_instances()]
+    for s in range(100):
+        n = 1 + s % 12
+        cases.append(gen_random(n, rng.randrange(1, n + 1), seed=rng.randrange(2**32), uniform_marginal=s % 3 == 0))
+    for inst in cases:
+        m, f, p = inst.marginal, inst.audited, inst.ground_truth
+        # a grid predictor with a prime denominator, and f at the ends of [0, 1]
+        grid = PredictorVec([F(rng.randint(0, 7), 7) for _ in range(inst.n)])
+        ends = PredictorVec([F(rng.randint(0, 1)) for _ in range(inst.n)])
+        for S in [*inst.groups, Subgroup(range(inst.n))]:
+            for a, b in ((f, p), (p, f), (f, grid), (ends, p), (f, f)):
+                assert conditional_l1(a, b, m, S) == oracle.conditional_l1(a, b, m, S)

@@ -1,18 +1,24 @@
 """The engine tables kept on an instance: each kept subgroup's class and
-partition tables are built once per instance, a metric's value and witness
-do not depend on which metrics filled the tables before it, and the tables
-are no part of the instance's value."""
+partition tables are built once per instance, and so are the audited
+predictor's residuals; a metric's value and witness do not depend on which
+metrics filled the tables before it, and the tables are no part of the
+instance's value."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import mcalaudit.core
 import mcalaudit.distances
 import mcalaudit.enumeration
+import mcalaudit.multiaccuracy
+from cli_runner import invoke
 from mcalaudit.core import BudgetExceeded, PredictorVec, Subgroup, dump_instance, load_instance
 from mcalaudit.distances import METRICS, dce, dcma, generated_partition
 from mcalaudit.instances import (
+    fibonacci_number,
     gen_cdmc_example,
     gen_dcma_example,
     gen_fibonacci,
@@ -106,7 +112,7 @@ def test_one_audit_builds_each_subgroups_tables_once(builds, inst):
         assert needed <= set(built) <= asked, kind
         assert not {c for c in cells - groups - {domain} if len(c) == 1} & set(built), kind
     # only the groups' and the domain's tables stay on the instance
-    kept = {members for _, members in inst._table_cache}
+    kept = {key[1] for key in inst._table_cache if isinstance(key, tuple)}
     assert kept == set(builds["class"]) & (groups | {domain})
 
 
@@ -123,6 +129,47 @@ def test_a_second_audit_rebuilds_only_the_cells_that_are_no_group(builds):
         for name in METRICS:
             _compute(name, inst)
         assert {kind: len(v) - before[kind] for kind, v in builds.items()} == {"class": rebuilt, "score": rebuilt}
+
+
+@pytest.fixture
+def residuals(monkeypatch):
+    """Each call of `core._weighted_differences`, as its (f, g) values."""
+    calls = []
+    compute = mcalaudit.core._weighted_differences
+
+    def spy(f, g, m):
+        calls.append((f.values, g.values))
+        return compute(f, g, m)
+
+    for module in (mcalaudit.core, mcalaudit.enumeration, mcalaudit.multiaccuracy):
+        monkeypatch.setattr(module, "_weighted_differences", spy)
+    return calls
+
+
+def _wide_instances():
+    """audit-wide's shapes: n points in n/2 groups, and the Fibonacci chain."""
+    for seed, n in enumerate((12, 16, 20)):
+        yield gen_random(n, n // 2, seed=seed)
+        yield gen_random(n, n // 2, seed=seed, uniform_marginal=True)
+    yield gen_fibonacci(9, Fraction(1, 4 * 10 * fibonacci_number(10)))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["full", "wide"])
+def test_one_audit_computes_the_residuals_of_f_once(monkeypatch, residuals, wide):
+    """m(f - p*) is computed once for wdmc, dimc, wdma and dma; every other
+    call is an independent check (dma's witness, certify, the degree-1 flag,
+    the l1 distance to p*), and none is in the (p*, f) orientation.  A full
+    audit makes 10 calls and `--metrics wdmc,dimc,wdma,dma` 7."""
+    monkeypatch.setenv("MCAL_AUDIT_BUDGET", str(BUDGET))
+    argv = ["--metrics", "wdmc,dimc,wdma,dma"] if wide else []
+    for inst in _wide_instances() if wide else FAMILIES:
+        residuals.clear()
+        r = invoke(["audit", "-", *argv], input=dump_instance(inst))
+        assert r.exit_code == 0, r.output
+        assert not any("refused" in entry for entry in json.loads(r.stdout)["metrics"].values())
+        assert len(residuals) == (7 if wide else 10), inst
+        f, p = inst.audited.values, inst.ground_truth.values
+        assert f == p or (p, f) not in residuals, inst
 
 
 def _orders(rng):
