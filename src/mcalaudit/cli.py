@@ -44,13 +44,7 @@ from .core import (
     validate,
 )
 from .distances import METRICS, certify, local_min_probe
-from .enumeration import (
-    DEFAULT_BUDGET,
-    calibrated_set,
-    is_calibrated,
-    is_degree_r_multicalibrated,
-    multicalibrated_set,
-)
+from .enumeration import DEFAULT_BUDGET, _degrees, calibrated_set, multicalibrated_set
 from .estimators import dce_interval, dimc_interval
 from .instances import (
     gen_cdmc_example,
@@ -214,19 +208,15 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty):
         report["metrics"][m] = entry
         report["timing_seconds"][m] = round(time.perf_counter() - t0, 6)
 
-    f = inst.audited
-    per_group = [is_calibrated(f, inst, S) for S in inst.groups]
+    # each group's largest degree up to cap >= n, which is cap where f is calibrated on it
+    cap = max(degree, inst.n)
+    degrees = _degrees(inst.audited, inst, inst.groups, cap)
+    per_group = [d == cap for d in degrees]
     report["membership"]["calibrated_per_group"] = per_group
     report["membership"]["multicalibrated"] = all(per_group)
-    # Degree r + 1 implies degree r, and r >= n has the flag of r = n (a group
-    # holds at most n values of f): the pass stops at a failure or at n.
-    top = 0
-    while top < min(degree, inst.n) and is_degree_r_multicalibrated(f, inst, top + 1):
-        top += 1
+    top = min(degrees)
     report["membership"]["multiaccurate"] = top >= 1
-    report["membership"]["degree_r_multicalibrated"] = {
-        str(r): r <= top or top == inst.n for r in range(1, degree + 1)
-    }
+    report["membership"]["degree_r_multicalibrated"] = {str(r): r <= top for r in range(1, degree + 1)}
     report["l1_to_ground_truth"] = _rat_json(
         l1_distance(inst.audited, inst.ground_truth, inst.marginal)
     )

@@ -56,6 +56,7 @@ from .core import (
     Subgroup,
     SubgroupCollection,
     WitnessError,
+    _brief,
     _cut,
     _residuals,
     group_mass,
@@ -66,9 +67,9 @@ from .enumeration import (
     _check_bell_product,
     _check_ceiling,
     _ClassTables,
+    _degrees,
     _tables,
     calibrated_set,
-    is_calibrated,
     is_multiaccurate,
     is_multicalibrated,
 )
@@ -575,13 +576,15 @@ def dmc_lowdeg_bruteforce(inst: Instance, r: int, grid_denominator: int) -> LowD
     The degree-r conditions define a variety that generically misses any
     finite grid, so exact-zero residuals are relaxed to conditional
     residuals of at most 1/(2 * grid_denominator).  Verification oracle
-    only; refuses domains larger than 4 points.
+    only; refuses n > 4, r < 1 and a grid_denominator that is no int >= 1.
     """
     n = inst.n
     if n > 4:
         raise ValueError("grid brute force is limited to domains of at most 4 points")
     if r < 1:
         raise ValueError("r must be >= 1")
+    if type(grid_denominator) is not int or grid_denominator < 1:
+        raise ValueError(f"grid_denominator must be an int >= 1, got {_brief(grid_denominator)}")
     m = inst.marginal
     p = inst.ground_truth
     f = inst.audited
@@ -642,13 +645,15 @@ METRICS = {
     "dmc": (lambda inst, budget: dmc(inst, budget), lambda w, inst: is_multicalibrated(w, inst)),
     "dimc": (
         lambda inst, budget: dimc(inst),
-        lambda w, inst: all(is_calibrated(w, inst, c) for c in generated_partition(inst.groups, inst.n)),
+        lambda w, inst: all(d == inst.n for d in _degrees(w, inst, generated_partition(inst.groups, inst.n), inst.n)),
     ),
     "wdma": (lambda inst, budget: wdma(inst), None),
     "dma": (lambda inst, budget: dma(inst), lambda w, inst: is_multiaccurate(w, inst)),
     "dcma": (
         lambda inst, budget: dcma(inst),
-        lambda w, inst: is_calibrated(w, inst, Subgroup._of(range(inst.n))) and is_multiaccurate(w, inst),
+        # calibrated on the domain (degree n) and unbiased (degree >= 1) on every group
+        lambda w, inst: (ds := _degrees(w, inst, (Subgroup._of(range(inst.n)), *inst.groups), inst.n))[0] == inst.n
+        and all(ds),
     ),
 }
 

@@ -31,6 +31,13 @@ Multicalibrated predictors are assembled by joining per-group calibrated
 sets under agreement on overlaps; the join and dmc refuse first when the
 product of the per-group Bell numbers exceeds their budget
 (`_check_bell_product`).
+
+Membership is decided in one place, `_degrees`.  Degree r on a subgroup
+S asks sum_S m(f - p*) f^j = 0 for every j < r; degree 1 is zero bias,
+multiaccuracy.  If f takes d distinct values v_i on S, with level sums s_i
+of m(f - p*) over the points where f = v_i, the conditions j < d read
+V s = 0 for the Vandermonde matrix V = (v_i^j), invertible as the v_i are
+distinct: so degree d on S, and every degree above it, is calibration on S.
 """
 
 from __future__ import annotations
@@ -88,23 +95,9 @@ def _check_ceiling(k: int) -> None:
 
 
 def is_calibrated(f: PredictorVec, inst: Instance, S: Subgroup) -> bool:
-    """Exact calibration of f on S: on each level set of f within S, the
-    marginal-weighted mean of the ground truth equals the predicted value.
-
-    With D the lcm over S of den(m(x))den(p*(x)), M(x) = D m(x) and
-    N(x) = D m(x)p*(x) are integers, and a level set of value v passes when
-    den(v) sum N == num(v) sum M."""
-    m, p, v = inst.marginal.probs, inst.ground_truth.values, f.values
-    ms = [m[i].as_integer_ratio() for i in S.members]
-    ps = [p[i].as_integer_ratio() for i in S.members]
-    D = lcm(*(b * d for (_, b), (_, d) in zip(ms, ps)))
-    sums: dict[tuple[int, int], list[int]] = {}
-    for (a, b), (c, d), i in zip(ms, ps, S.members):
-        M = a * (D // b)
-        s = sums.setdefault(v[i].as_integer_ratio(), [0, 0])
-        s[0] += M
-        s[1] += M // d * c
-    return all(den * N == num * M for (num, den), (M, N) in sums.items())
+    """Exact calibration of f on S, degree n on S: on each level set of f
+    within S, the weighted mean of the ground truth is the predicted value."""
+    return _degrees(f, inst, (S,), inst.n)[0] == inst.n
 
 
 class _ClassTables:
@@ -334,35 +327,47 @@ def multicalibrated_set(
     return sorted(results)
 
 
+def _degrees(f: PredictorVec, inst: Instance, sets, cap: int) -> list[int]:
+    """For each S in `sets`, the largest r <= cap at which f is degree-r
+    multicalibrated on S (see the module docstring): 0 where f is biased on
+    S, cap where it is calibrated there, else the least j < min(cap, d) at
+    which the power sum of the level sums fails.  With e/D = m(f - p*) and
+    f = q/E over f's denominator E, the sums are of integers, keyed by q."""
+    e, _ = _weighted_differences(f, inst.ground_truth, inst.marginal)
+    q, _ = _int_numerators(f.values)
+    found = []
+    for S in sets:
+        if sum(e[x] for x in S.members):
+            found.append(0)
+            continue
+        sums: dict[int, int] = {}
+        for x in S.members:
+            sums[q[x]] = sums.get(q[x], 0) + e[x]
+        if not any(sums.values()):
+            found.append(cap)
+            continue
+        top = min(cap, len(sums))
+        j, moments = 1, [s * v for v, s in sums.items()]
+        while j < top and not sum(moments):
+            j += 1
+            moments = [w * v for w, v in zip(moments, sums)]
+        found.append(j)
+    return found
+
+
 def is_multicalibrated(f: PredictorVec, inst: Instance) -> bool:
-    return all(is_calibrated(f, inst, S) for S in inst.groups)
+    return all(d == inst.n for d in _degrees(f, inst, inst.groups, inst.n))
 
 
 def is_multiaccurate(f: PredictorVec, inst: Instance) -> bool:
-    """Zero bias on every group, sum_S m(f - p*) = 0: degree 1 of
-    `is_degree_r_multicalibrated`."""
+    """Zero bias on every group, sum_S m(f - p*) = 0: degree 1."""
     return is_degree_r_multicalibrated(f, inst, 1)
 
 
 def is_degree_r_multicalibrated(f: PredictorVec, inst: Instance, r: int) -> bool:
     """Degree-r multicalibration: on every group, the residual f - p* is
     orthogonal to every polynomial weight w(f(x)) of degree < r.  Checking
-    the monomials t^j for 0 <= j < r suffices by linearity, and on a group
-    where f takes d distinct values the monomials below degree d already
-    span every weight, so j stops at min(r, d).
-
-    With the residuals m(x)(f(x) - p*(x)) = e(x)/D over one denominator D
-    and f(x) = q(x)/E over the group's denominator E, the j-th condition is
-    sum e(x) q(x)^j == 0, all in integers; j = 0, tested first, is zero bias."""
+    the monomials t^j for 0 <= j < r suffices by linearity (`_degrees`)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    e, _ = _weighted_differences(f, inst.ground_truth, inst.marginal)
-    for S in inst.groups:
-        es = [e[i] for i in S.members]
-        if sum(es) != 0:
-            return False
-        if r > 1:
-            q, _ = _int_numerators([f[i] for i in S.members])
-            if any(sum(ei * qi**j for ei, qi in zip(es, q)) for j in range(1, min(r, len(set(q))))):
-                return False
-    return True
+    return all(d == r for d in _degrees(f, inst, inst.groups, r))

@@ -61,6 +61,10 @@ def _compare(inst: Instance, g: PredictorVec, seen: dict) -> None:
     for S in sets:
         got = is_calibrated(g, inst, S)
         assert got == oracle.is_calibrated(g, inst, S), (g.values, S.members)
+        # degree |S| on S alone is calibration on S: f takes at most |S|
+        # values there, and their Vandermonde matrix is invertible
+        alone = inst.with_groups(SubgroupCollection([S]))
+        assert got == oracle.is_degree_r_multicalibrated(g, alone, len(S)), (g.values, S.members)
         seen.setdefault("calibrated", set()).add(got)
     got = is_multiaccurate(g, inst)
     assert got == oracle.is_multiaccurate(g, inst), g.values

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_checks as oracle
 from cli_runner import invoke
 from mcalaudit import LPProblem, lp_solve
 from mcalaudit.cli import _write_json, main
@@ -513,28 +514,36 @@ def test_audit_refuses_non_integer_n_and_group_indices(fields):
     assert "must be an integer" in r.output
 
 
-def test_audit_degree_flags_stop_at_the_domain_size(tmp_path, monkeypatch):
+def _one_degree_pass(monkeypatch):
+    """A list that grows by one entry per call of the audit's degree pass."""
     import mcalaudit.cli as cli
-    from mcalaudit.enumeration import is_degree_r_multicalibrated
 
+    calls = []
+    degrees = cli._degrees
+
+    def spy(*args):
+        calls.append(args[-1])
+        return degrees(*args)
+
+    monkeypatch.setattr(cli, "_degrees", spy)
+    return calls
+
+
+def test_audit_degree_flags_stop_at_the_domain_size(tmp_path, monkeypatch):
     # unbiased on the group (degree 1) but correlated with f (degree >= 2)
     d = {"n": 3, "marginal": ["1/3"] * 3, "p_star": ["0", "1/2", "1"], "f": ["1/4", "1/2", "3/4"], "groups": [[0, 1, 2]]}
     p = tmp_path / "d.json"
     p.write_text(json.dumps(d))
     inst = instance_from_dict(d)
-    calls = []
-
-    def spy(f, inst, r):
-        calls.append(r)
-        return is_degree_r_multicalibrated(f, inst, r)
-
-    monkeypatch.setattr(cli, "is_degree_r_multicalibrated", spy)
+    calls = _one_degree_pass(monkeypatch)
     r = _run(["audit", str(p), "--metrics", "wdma", "--degree", "50"])
     assert r.exit_code == 0, r.output
-    assert len(calls) <= inst.n
-    flags = json.loads(r.output)["membership"]["degree_r_multicalibrated"]
-    assert flags == {str(r): is_degree_r_multicalibrated(inst.audited, inst, r) for r in range(1, 51)}
+    assert calls == [50]
+    membership = json.loads(r.output)["membership"]
+    flags = membership["degree_r_multicalibrated"]
+    assert flags == {str(r): oracle.is_degree_r_multicalibrated(inst.audited, inst, r) for r in range(1, 51)}
     assert flags["1"] and not flags["2"]
+    assert membership["multiaccurate"] is True and membership["calibrated_per_group"] == [False]
 
 
 def _degree_instances():
@@ -551,35 +560,28 @@ def _degree_instances():
         yield inst.with_audited(dma(inst).witness)
 
 
-def test_audit_degree_flags_match_the_predicate_and_the_pass_stops_at_the_first_failure(monkeypatch):
-    """`multiaccurate` is the flag of degree 1; the pass asks r = 1, 2, ...
-    and stops at the first degree that fails, or at min(degree, n)."""
-    import mcalaudit.cli as cli
-    from mcalaudit.enumeration import is_degree_r_multicalibrated
-
-    asked = []
-
-    def spy(f, inst, r):
-        asked.append((r, is_degree_r_multicalibrated(f, inst, r)))
-        return asked[-1][1]
-
-    monkeypatch.setattr(cli, "is_degree_r_multicalibrated", spy)
+def test_audit_membership_matches_the_fraction_oracles_from_one_degree_pass(monkeypatch):
+    """The degree flags for r = 1..n+2, `multiaccurate` and
+    `calibrated_per_group` answer as their `Fraction` oracles do, and each
+    report makes one call of the degree pass, whatever `--degree` is."""
+    calls = _one_degree_pass(monkeypatch)
     seen = set()
     for inst in _degree_instances():
-        asked.clear()
-        degree = inst.n + 2
-        r = _run(["audit", "-", "--metrics", "wdma", "--degree", str(degree)], input=dump_instance(inst))
-        assert r.exit_code == 0, r.output
-        membership = json.loads(r.stdout)["membership"]
-        flags = membership["degree_r_multicalibrated"]
-        expected = [is_degree_r_multicalibrated(inst.audited, inst, d) for d in range(1, degree + 1)]
-        assert flags == {str(d): v for d, v in enumerate(expected, 1)}
-        assert membership["multiaccurate"] is flags["1"]
-        assert [d for d, _ in asked] == list(range(1, len(asked) + 1))
-        assert all(ok for _, ok in asked[:-1])
-        assert not asked[-1][1] or len(asked) == inst.n
+        f = inst.audited
+        for degree in (1, inst.n + 2):
+            calls.clear()
+            r = _run(["audit", "-", "--metrics", "wdma", "--degree", str(degree)], input=dump_instance(inst))
+            assert r.exit_code == 0, r.output
+            assert calls == [max(degree, inst.n)]
+            membership = json.loads(r.stdout)["membership"]
+            expected = [oracle.is_degree_r_multicalibrated(f, inst, d) for d in range(1, degree + 1)]
+            assert membership["degree_r_multicalibrated"] == {str(d): v for d, v in enumerate(expected, 1)}
+            assert membership["multiaccurate"] is oracle.is_multiaccurate(f, inst)
+            per_group = [oracle.is_calibrated(f, inst, S) for S in inst.groups]
+            assert membership["calibrated_per_group"] == per_group
+            assert membership["multicalibrated"] is all(per_group)
         seen.add(sum(expected))
-    # the pass stopped at degree 1, at degree 2 and past the domain size
+    # reports where no degree holds, only degree 1, and more than 5 degrees
     assert {0, 1} <= seen and max(seen) >= 6
 
 

@@ -644,6 +644,12 @@ def test_lowdeg_bruteforce_refuses_large_domains():
         dmc_lowdeg_bruteforce(inst, 2, 10)
 
 
+@pytest.mark.parametrize("grid_denominator", [0, -1, True, 2.0, Fraction(3)])
+def test_lowdeg_bruteforce_refuses_a_grid_denominator_that_is_no_int_of_at_least_1(grid_denominator):
+    with pytest.raises(ValueError, match="grid_denominator must be an int >= 1"):
+        dmc_lowdeg_bruteforce(gen_three_point(Fraction(1, 10)), 2, grid_denominator)
+
+
 def test_local_min_probe_deterministic_and_sound():
     inst = gen_wdmc_local_min(Fraction(1, 200), Fraction(1, 10))
     a = local_min_probe("wdmc", inst, Fraction(1, 1000), trials=100, seed=5)

@@ -5,6 +5,9 @@ import pytest
 
 from mcalaudit import (
     BudgetExceeded,
+    FiniteDomain,
+    Instance,
+    Marginal,
     PredictorVec,
     Subgroup,
     SubgroupCollection,
@@ -164,6 +167,17 @@ def test_degree_r_multicalibration():
     assert is_degree_r_multicalibrated(inst.ground_truth, inst, 5)
     shifted = gen_three_point(Fraction(1, 10))
     assert not is_degree_r_multicalibrated(shifted.audited, shifted, 2)
+    # f takes three values on the one group, and m(f - p*) = (1, -2, 1)/24 is
+    # orthogonal to 1 and f but not to f^2: degrees 1 and 2 hold, 3 fails
+    q = Fraction
+    exact2 = Instance(
+        FiniteDomain(3),
+        Marginal.uniform(3),
+        PredictorVec([q(1, 8), q(3, 4), q(5, 8)]),
+        SubgroupCollection([[0, 1, 2]]),
+        PredictorVec([q(1, 4), q(1, 2), q(3, 4)]),
+    )
+    assert [is_degree_r_multicalibrated(exact2.audited, exact2, r) for r in range(1, 5)] == [True, True, False, False]
     with pytest.raises(ValueError):
         is_degree_r_multicalibrated(inst.audited, inst, 0)
 
