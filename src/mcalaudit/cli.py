@@ -4,6 +4,8 @@ Subcommands: audit, enumerate, estimate, generate, landscape, verify.
 Output is JSON by default; `--pretty` switches to a human-readable table.
 Exact rationals appear as "num/den" strings together with 30-significant-
 digit decimal renderings (round-half-even; the decimals are views only).
+`audit`, `estimate` and `landscape` render each distinct value once per
+report, through a renderer that lives for the one command call.
 
 Each `cmd_*` returns its report and exit code; the report is a dict, written
 as `json.dumps(report, indent=2)` writes it, or finished text (a `--pretty`
@@ -100,8 +102,21 @@ def _create(path: str):
         _fail(f"cannot write {_brief(path)}: {e.strerror}")
 
 
-def _rat_json(x: Fraction) -> dict:
-    return {"rational": _rat_str(x), "decimal": to_decimal(x)}
+def _renderer():
+    """A renderer of Fractions for one report, as `{"rational": "p/q",
+    "decimal": ...}`.  Each distinct value's two strings are rendered once
+    and kept only as long as the renderer; every call returns a fresh dict,
+    so no two leaves of the report are one object."""
+    strings: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def rat_json(x: Fraction) -> dict:
+        key = x.as_integer_ratio()
+        pair = strings.get(key)
+        if pair is None:
+            pair = strings[key] = (_rat_str(x), to_decimal(x))
+        return {"rational": pair[0], "decimal": pair[1]}
+
+    return rat_json
 
 
 def _load(path: str) -> Instance:
@@ -189,6 +204,7 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty):
         if m not in METRICS:
             _fail(f"unknown metric {_brief(m)}")
     budget = _budget()
+    rat_json = _renderer()
 
     report: dict = {"metrics": {}, "membership": {}, "timing_seconds": {}}
     for m in requested:
@@ -201,10 +217,10 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty):
         else:
             value, witness = r
             if target is None:
-                entry = {"value": _rat_json(value), "witness_group": list(witness.members)}
+                entry = {"value": rat_json(value), "witness_group": list(witness.members)}
             else:
                 certify(m, r, inst)
-                entry = {"value": _rat_json(value), "witness": [_rat_json(v) for v in witness.values]}
+                entry = {"value": rat_json(value), "witness": [rat_json(v) for v in witness.values]}
         report["metrics"][m] = entry
         report["timing_seconds"][m] = round(time.perf_counter() - t0, 6)
 
@@ -217,7 +233,7 @@ def cmd_audit(instance, metrics, degree, dump_lp, pretty):
     top = min(degrees)
     report["membership"]["multiaccurate"] = top >= 1
     report["membership"]["degree_r_multicalibrated"] = {str(r): r <= top for r in range(1, degree + 1)}
-    report["l1_to_ground_truth"] = _rat_json(
+    report["l1_to_ground_truth"] = rat_json(
         l1_distance(inst.audited, inst.ground_truth, inst.marginal)
     )
 
@@ -279,6 +295,7 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv):
             _fail("--metric dimc takes no --group")
         runner = lambda s: dimc_interval(inst, eps_r, delta_r, seed=s)
 
+    rat_json = _renderer()
     runs = []
     for t in range(trials):
         s = seed + t
@@ -286,10 +303,10 @@ def cmd_estimate(instance, metric, group, eps, delta, seed, trials, as_csv):
         runs.append(
             {
                 "seed": s,
-                "point": _rat_json(est.point),
-                "lower": _rat_json(est.lower),
+                "point": rat_json(est.point),
+                "lower": rat_json(est.lower),
                 "upper": est.upper_decimal,
-                "confidence": _rat_json(est.confidence),
+                "confidence": rat_json(est.confidence),
                 "samples_used": est.samples_used,
             }
         )
@@ -338,15 +355,16 @@ def cmd_landscape(instance, metric, radius, trials, seed, pretty):
     """Probe a metric's landscape around the audited predictor."""
     inst = _load(instance)
     probe = local_min_probe(metric, inst, _parse_rat(radius, "--radius"), trials, seed, _budget())
+    rat_json = _renderer()
     payload = {
         "metric": probe.metric,
-        "baseline": _rat_json(probe.baseline),
-        "best_value": _rat_json(probe.best_value),
+        "baseline": rat_json(probe.baseline),
+        "best_value": rat_json(probe.best_value),
         "decreased": probe.decreased,
         "trials": probe.trials,
     }
     if probe.best_point is not None:
-        payload["best_point"] = [_rat_json(v) for v in probe.best_point.values]
+        payload["best_point"] = [rat_json(v) for v in probe.best_point.values]
     if not pretty:
         return payload, EXIT_OK
     return (

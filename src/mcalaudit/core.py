@@ -9,6 +9,12 @@ confined to the decimal reporting view `to_decimal`.
 All types are immutable after construction and all operations are pure;
 an `Instance` also keeps the engine tables built for it, which are not
 part of its value.
+
+`rat` reads a string of decimal digits alone, "num/den" or "num", of at
+most DIGITS_CEILING characters, by `int()` on each side; every other
+string takes `Fraction`'s own parser behind the guards on exponents and
+runs of digits.  `instance_from_dict` parses each distinct string once,
+so equal strings in the marginal, p* and f share one Fraction.
 """
 
 from __future__ import annotations
@@ -82,6 +88,14 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # "num/den" or "num" of decimal digits alone, short enough that no
+        # side is over the digit ceiling, is read by int() directly.
+        num, slash, den = x.partition("/")
+        if len(x) <= DIGITS_CEILING and num.isdecimal() and (den.isdecimal() or not slash):
+            d = int(den) if slash else 1
+            if not d:
+                raise ValueError(f"zero denominator in {_brief(x)}")
+            return Fraction(int(num), d)
         exponent = _EXPONENT.search(x)
         if exponent:
             if len(exponent.group(1)) > EXPONENT_CEILING:
@@ -451,12 +465,27 @@ def instance_from_dict(d: dict) -> Instance:
     groups = _array(d, "groups")
     if any(type(g) is not list for g in groups):
         raise ValueError("each group must be an array of integers")
+    # Each distinct string is parsed once, and equal strings share one Fraction.
+    parsed: dict[str, Fraction] = {}
+
+    def rats(key: str) -> list[Fraction]:
+        out = []
+        for v in _array(d, key):
+            if type(v) is str:
+                r = parsed.get(v)
+                if r is None:
+                    r = parsed[v] = rat(v)
+            else:
+                r = rat(v)
+            out.append(r)
+        return out
+
     return Instance(
         domain=FiniteDomain(n, labels),
-        marginal=Marginal(_array(d, "marginal")),
-        ground_truth=PredictorVec(_array(d, "p_star")),
+        marginal=Marginal(rats("marginal")),
+        ground_truth=PredictorVec._of(rats("p_star")),
         groups=SubgroupCollection(groups),
-        audited=PredictorVec(_array(d, "f")),
+        audited=PredictorVec._of(rats("f")),
     )
 
 

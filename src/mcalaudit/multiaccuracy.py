@@ -27,9 +27,11 @@ unscaled variables and the solve ends at the same vertex, without a
 The LP is fed and read in integers too.  Each group's rhs is -sum_S e/D,
 with e/D = m(f - p*) the instance's residuals over one denominator D
 (`core._residuals`), which `wdma` compares too; `lp_solve` scales each
-row by products of numerators and of denominators, prices out phase 1
-column by column, and builds a `Fraction` only for each basic variable
-and the optimum; `dma` forms f + u - v only where u or v is not 0.
+row by products of numerators and of denominators of its non-zero
+coefficients, prices out phase 1 column by column, and builds a
+`Fraction` only for each basic variable and the optimum.  At an optimum
+u(x)v(x) = 0, so `dma` forms its witness as f + u where u is positive
+and f - v where v is: one `Fraction` operation per changed point.
 
 Group masses and conditional label means are taken exactly from the
 Instance; sensitivity of the program to estimated constraint data is out
@@ -89,7 +91,7 @@ class LPProblem:
 
     def __post_init__(self):
         nv = len(self.objective)
-        if len(self.upper) != nv or not all(isinstance(hi, Fraction) and hi >= 0 for hi in self.upper):
+        if len(self.upper) != nv or not all(isinstance(hi, Fraction) and hi.numerator >= 0 for hi in self.upper):
             raise ValueError("one non-negative Fraction upper bound per variable required")
         for coeffs, _ in self.constraints:
             if len(coeffs) != nv:
@@ -229,8 +231,11 @@ def _scaled_row(coeffs, bounds: list[tuple[int, int]], last) -> tuple[list[int],
     """c * hi for each coefficient c and its column's bound hi (given as
     a numerator and a denominator), then last, as reduced integer
     numerators over one positive denominator: products of numerators and
-    of denominators, with no `Fraction` built."""
-    terms = [(a * c, b * d) for (a, b), (c, d) in zip([x.as_integer_ratio() for x in coeffs], bounds)]
+    of denominators, with no `Fraction` built.  A zero coefficient makes no
+    product, and `_ZERO` itself, which fills `_dma_problem`'s rows, is not
+    even read."""
+    ratios = [(0, 1) if x is _ZERO else x.as_integer_ratio() for x in coeffs]
+    terms = [(a * c, b * d) if a else (0, 1) for (a, b), (c, d) in zip(ratios, bounds)]
     terms.append(last.as_integer_ratio())
     den = lcm(*(d for t, d in terms if t))
     return _reduced([t * (den // d) if t else 0 for t, d in terms], den)
@@ -341,9 +346,12 @@ def dma(inst: Instance) -> DistanceResult:
     n = inst.n
     f = inst.audited.values
     g = list(f)
+    # u(x)v(x) = 0 at an optimum, so each changed point is one addition or subtraction
     for i, (u, v) in enumerate(zip(sol.assignment[:n], sol.assignment[n:])):
-        if u or v:
-            g[i] = f[i] + u - v
+        if u:
+            g[i] = f[i] + u
+        elif v:
+            g[i] = f[i] - v
     witness = PredictorVec._of(g)
     if not is_multiaccurate(witness, inst):
         raise WitnessError("dma witness is not multiaccurate")

@@ -1,8 +1,29 @@
 """The membership checks and the l1 distance in plain `Fraction` sums,
 point by point, as the definitions read: the oracles that the package's
-integer checks are compared against."""
+integer checks are compared against.  `rat` is the string parser without
+its integer fast path, every string read by `Fraction` behind the guards."""
 
 from fractions import Fraction
+
+from mcalaudit.core import _DIGIT_RUN, _EXPONENT, DIGITS_CEILING, EXPONENT_CEILING, _brief
+
+
+def rat(x):
+    """`core.rat` on a string, each form taking the guarded `Fraction` path."""
+    exponent = _EXPONENT.search(x)
+    if exponent:
+        if len(exponent.group(1)) > EXPONENT_CEILING:
+            raise ValueError(f"decimal exponent longer than {EXPONENT_CEILING} characters")
+        if abs(int(exponent.group(1))) > EXPONENT_CEILING:
+            raise ValueError(f"decimal exponent beyond +-{EXPONENT_CEILING}")
+    if len(x) > DIGITS_CEILING and any(len(run) - run.count("_") > DIGITS_CEILING for run in _DIGIT_RUN.findall(x)):
+        raise ValueError(f"more than {DIGITS_CEILING} digits in a row")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {_brief(x)}") from None
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {_brief(x)}") from None
 
 
 def is_calibrated(f, inst, S):

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import fraction_checks as oracle
 from cli_runner import invoke
-from mcalaudit import LPProblem, lp_solve
+from mcalaudit import LPProblem, cli, lp_solve
 from mcalaudit.cli import _write_json, main
 from mcalaudit.core import dump_instance, instance_from_dict
 from mcalaudit.instances import gen_random, gen_three_point
@@ -607,6 +608,86 @@ def test_report_writer_writes_what_json_dumps_indent_2_writes(tree):
     out: list[str] = []
     _write_json(tree, "", out)
     assert "".join(out) == json.dumps(tree, indent=2)
+
+
+def _rendered_leaves(tree) -> list:
+    """The `{"rational", "decimal"}` leaves of a report, in order."""
+    if isinstance(tree, dict):
+        if set(tree) == {"rational", "decimal"}:
+            return [tree]
+        return [leaf for v in tree.values() for leaf in _rendered_leaves(v)]
+    if isinstance(tree, list):
+        return [leaf for v in tree for leaf in _rendered_leaves(v)]
+    return []
+
+
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        (["--family", "random", "--n", "7", "--groups", "3", "--seed", "1"], ["audit"]),
+        (["--family", "three-point", "--alpha", "1/10"], ["audit", "--degree", "3"]),
+        (["--family", "three-point", "--alpha", "1/10"], ["estimate", "--metric", "dimc", "--trials", "3"]),
+        (["--family", "cdmc"], ["estimate", "--metric", "dce", "--group", "0", "--trials", "3"]),
+        (["--family", "wdmc-local-min"], ["landscape", "--metric", "dma", "--trials", "20"]),
+        (["--family", "three-point", "--alpha", "1/10"], ["landscape", "--metric", "wdmc", "--trials", "20"]),
+    ],
+    ids=["audit-random", "audit-three-point", "estimate-dimc", "estimate-dce", "landscape-dma", "landscape-wdmc"],
+)
+def test_a_report_renders_each_distinct_value_once(tmp_path, monkeypatch, family, args):
+    path = tmp_path / "inst.json"
+    assert _run(["generate", *family, "-o", str(path)]).exit_code == 0
+    rendered = []
+    render = cli.to_decimal
+
+    def spy(x, *more):
+        rendered.append(x)
+        return render(x, *more)
+
+    reports = []
+    write = cli._write_json
+
+    def keep_report(x, indent, out):
+        if not indent:
+            reports.append(x)
+        write(x, indent, out)
+
+    monkeypatch.setattr(cli, "to_decimal", spy)
+    monkeypatch.setattr(cli, "_write_json", keep_report)
+    r = _run([args[0], str(path), *args[1:]])
+    assert r.exit_code == 0, r.output
+    [report] = reports
+    assert r.stdout == json.dumps(report, indent=2) + "\n"
+    leaves = _rendered_leaves(report)
+    distinct = {leaf["rational"] for leaf in leaves}
+    assert len(rendered) == len(set(rendered)) == len(distinct)
+    assert {f"{x.numerator}/{x.denominator}" for x in rendered} == distinct
+    assert all(leaf["decimal"] == render(Fraction(leaf["rational"])) for leaf in leaves)
+    # every leaf is its own dict
+    assert len({id(leaf) for leaf in leaves}) == len(leaves)
+    if args[0] == "audit":
+        assert len(leaves) > len(distinct)
+
+
+def test_estimate_keeps_no_rendered_value_after_its_call(tmp_path):
+    """500 estimate runs, each with its own seed and mostly values of its
+    own, leave the traced memory within a small fixed bound; renderings
+    kept from one call to the next grow it by about 300 KB here."""
+    path = tmp_path / "cdmc.json"
+    assert _run(["generate", "--family", "cdmc", "-o", str(path)]).exit_code == 0
+    args = ["estimate", str(path), "--metric", "dce", "--group", "0", "--seed"]
+    for seed in range(20):
+        assert _run([*args, str(seed)]).exit_code == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(20, 520):
+            assert _run([*args, str(seed)]).exit_code == 0
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 128 * 1024
 
 
 _LONG_SEED = "5" * 5001

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraction_checks as oracle
+from mcalaudit import core
 
 from mcalaudit import (
     FiniteDomain,
@@ -24,8 +27,9 @@ from mcalaudit import (
     rat,
     validate,
 )
-from mcalaudit.core import _int_numerators, to_decimal
+from mcalaudit.core import DIGITS_CEILING, _int_numerators, to_decimal
 from mcalaudit.instances import gen_random
+from test_lp_engine import _family_instances
 
 
 def test_rat_accepts_ints_strings_fractions():
@@ -61,6 +65,105 @@ def test_rat_refuses_a_long_run_of_digits_in_its_own_words():
     for text in ("1" * 5000, "0." + "1" * 5000, "1/" + "3" * 5000, "1" * 4301, "1_" * 4300 + "1"):
         with pytest.raises(ValueError, match="^more than 4300 digits in a row$"):
             rat(text)
+
+
+def _same_as_the_oracle(text):
+    """rat(text) is oracle.rat(text): the same value, or the same error."""
+    try:
+        expected = oracle.rat(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            rat(text)
+        assert str(got.value) == str(e)
+    else:
+        got = rat(text)
+        assert type(got) is Fraction and got == expected
+
+
+class _NoFullPath:
+    """A stand-in for `core._EXPONENT` that fails if the full path reads it."""
+
+    def search(self, text):
+        raise AssertionError(f"{text[:20]!r} took the full path")
+
+
+# ASCII digits, leading zeros included, and other Unicode decimal digits
+_DECIMALS = "0123456789" + "0" * 10 + "٠١٢٣٤٥٦٧٨٩" + "０１２３４５６７８９" + "߀߁߂"
+_digits = st.text(st.sampled_from(_DECIMALS), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_digits, _digits, st.booleans())
+def test_rat_fast_path_matches_the_fraction_path(num, den, plain):
+    _same_as_the_oracle(num if plain else f"{num}/{den}")
+
+
+def test_rat_fast_path_takes_only_short_digit_strings(monkeypatch):
+    at_ceiling = ("1/" + "3" * (DIGITS_CEILING - 2), "9" * DIGITS_CEILING, "0" * (DIGITS_CEILING - 2) + "/1")
+    fast = ("0/0", "7/0", "00/01", "٣/٤", "0", "1", *at_ceiling)
+    above = ("1/" + "3" * (DIGITS_CEILING - 1), "9" * (DIGITS_CEILING + 1), "0" * (DIGITS_CEILING - 1) + "/1")
+    full = ("1_0/3", " 1/2", "+1/2", "-1/2", "1.5", "1e-3", "1/2 ", "/2", "1/", "1//2", *above)
+    for text in fast + full:
+        _same_as_the_oracle(text)
+    assert all(len(text) == DIGITS_CEILING for text in at_ceiling)
+    assert all(len(text) == DIGITS_CEILING + 1 for text in above)
+    monkeypatch.setattr(core, "_EXPONENT", _NoFullPath())
+    for text in fast:
+        try:
+            rat(text)
+        except ValueError as e:
+            assert str(e) == f"zero denominator in {text!r}"
+    for text in full:
+        with pytest.raises(AssertionError, match="took the full path"):
+            rat(text)
+
+
+def _parse_counter(monkeypatch) -> list:
+    """The strings that `core.rat` is called with from now on."""
+    seen = []
+    parse = core.rat
+
+    def spy(x):
+        if type(x) is str:
+            seen.append(x)
+        return parse(x)
+
+    monkeypatch.setattr(core, "rat", spy)
+    return seen
+
+
+def _load_instances():
+    """Every `generate` family and seeded random instances with uniform
+    and non-uniform marginals."""
+    yield from (inst for _, inst in _family_instances())
+    for seed in range(20):
+        n = 2 + seed % 15
+        yield gen_random(n, min(n, 1 + seed % 4), seed=seed, uniform_marginal=seed % 2 == 0)
+
+
+def test_load_instance_parses_each_distinct_string_once(monkeypatch):
+    seen = _parse_counter(monkeypatch)
+    forms = {"n": 3, "marginal": ["01/04", "0.25", "1/2"], "p_star": ["0", "1", "0.25"], "f": ["1", "01/04", "1"]}
+    texts = [dump_instance(inst) for inst in _load_instances()]
+    texts.append(json.dumps({**forms, "groups": [[0, 1], [2]]}))
+    for text in texts:
+        d = json.loads(text)
+        strings = d["marginal"] + d["p_star"] + d["f"]
+        seen.clear()
+        inst = load_instance(text)
+        assert sorted(seen) == sorted(set(strings))
+        expected = Instance(
+            domain=FiniteDomain(d["n"], d.get("labels") and tuple(d["labels"])),
+            marginal=Marginal([Fraction(s) for s in d["marginal"]]),
+            ground_truth=PredictorVec([Fraction(s) for s in d["p_star"]]),
+            groups=SubgroupCollection(d["groups"]),
+            audited=PredictorVec([Fraction(s) for s in d["f"]]),
+        )
+        assert inst == expected
+        values = inst.marginal.probs + inst.ground_truth.values + inst.audited.values
+        assert all(type(v) is Fraction for v in values)
+        # equal strings share one Fraction
+        assert len({id(v) for v in values}) == len(set(strings))
 
 
 def test_rat_rejects_floats():

@@ -268,6 +268,36 @@ def test_dma_matches_the_slack_row_lp_on_hypothesis_instances(inst):
     _check_dma(inst)
 
 
+def _read_back_instances():
+    """Every family and 100 seeded random instances, each also with f at 0,
+    at 1, and alternating between them."""
+    from test_lp_engine import _family_instances
+
+    rng = random.Random(31)
+    insts = [inst for _, inst in _family_instances()]
+    for s in range(100):
+        n = 2 + s % 19
+        insts.append(gen_random(n, rng.randrange(1, n + 1), seed=rng.randrange(2**32), uniform_marginal=s % 3 == 0))
+    for inst in insts:
+        yield inst
+        for ends in ((0,), (1,), (0, 1)):
+            yield inst.with_audited(PredictorVec([ends[i % len(ends)] for i in range(inst.n)]))
+
+
+def test_dma_witness_is_f_plus_u_minus_v_of_its_lp():
+    """dma's witness, one addition or subtraction per changed point, is
+    the `Fraction` sum f + u - v of the LP's assignment, where u and v are
+    never both positive."""
+    for inst in _read_back_instances():
+        n = inst.n
+        sol = lp_solve(_dma_problem(inst))
+        u, v = sol.assignment[:n], sol.assignment[n:]
+        assert not any(a > 0 and b > 0 for a, b in zip(u, v))
+        r = dma(inst)
+        assert r.value == sol.optimum
+        assert r.witness.values == tuple(x + a - b for x, a, b in zip(inst.audited.values, u, v))
+
+
 def test_dma_raises_when_the_witness_fails_certification(monkeypatch):
     import mcalaudit.multiaccuracy
     from mcalaudit import WitnessError
